@@ -656,118 +656,6 @@ pub fn cache_sweep(scale: &ExpScale) -> Result<ExpTable> {
     Ok(t)
 }
 
-/// **Overlap sweep** -- the asynchronous I/O scheduler: simulated wall time
-/// vs workers x stripe, with sequential read-ahead and write-behind. The
-/// *logical* transfer count (the paper's Aggarwal-Vitter cost) must be
-/// identical on every row -- the scheduler only overlaps physical transfers
-/// in deterministic virtual time -- so the sweep shows wall time falling
-/// while the paper's cost model stands still.
-pub fn overlap_sweep(scale: &ExpScale) -> Result<ExpTable> {
-    let spec = bench_spec();
-    let mut t = ExpTable::new(
-        "overlap",
-        "I/O scheduler sweep: virtual wall time vs workers x stripe (prefetch 8, write-behind)",
-        &[
-            "workers",
-            "stripe",
-            "logical-io",
-            "phys-io",
-            "ticks",
-            "sim-wall-s",
-            "speedup",
-            "pf-issued",
-            "pf-hits",
-            "pf-wasted",
-            "deferred",
-        ],
-    );
-    // A deep fixed-seed document: run formation and merging are dominated by
-    // sequential extent scans, the scheduler's best case.
-    let elems = Some(scale.base_elements / 4);
-    let mut logical0: Option<u64> = None;
-    let mut sync_ticks: Option<u64> = None;
-    for &(workers, stripe) in &[(0usize, 1usize), (1, 1), (1, 4), (4, 1), (4, 4)] {
-        let cfg = RunConfig {
-            block_size: scale.block_size,
-            mem_frames: 24,
-            cache_frames: 16,
-            io_workers: workers,
-            prefetch_depth: if workers > 0 { 8 } else { 0 },
-            write_behind: workers > 0,
-            stripe,
-            ..Default::default()
-        };
-        let mut g = IbmGen::new(7, 8, elems, GenConfig::default());
-        let m = measure_nexsort(&mut g, &spec, &cfg)?;
-        let b = &m.breakdown;
-        let logical = b.grand_total();
-        match logical0 {
-            None => logical0 = Some(logical),
-            Some(c) if c != logical => t.note(format!(
-                "WARNING: logical I/O drifted at workers={workers} stripe={stripe}: {logical} vs {c}"
-            )),
-            Some(_) => {}
-        }
-        if workers == 0 {
-            sync_ticks = Some(m.ticks);
-        }
-        let speedup = sync_ticks
-            .map_or_else(|| "-".into(), |s| format!("{:.2}x", s as f64 / m.ticks.max(1) as f64));
-        t.push_row(vec![
-            workers.to_string(),
-            stripe.to_string(),
-            logical.to_string(),
-            b.grand_total_physical().to_string(),
-            m.ticks.to_string(),
-            format!("{:.1}", m.sim_wall_seconds()),
-            speedup,
-            b.total_prefetch_issued().to_string(),
-            b.total_prefetch_hits().to_string(),
-            b.total_prefetch_wasted().to_string(),
-            b.total_deferred_writes().to_string(),
-        ]);
-    }
-    // One fault-injection row at full overlap: transient faults retry at the
-    // point of the physical transfer (including deferred writes at their
-    // barrier), and the logical count still must not move.
-    let cfg = RunConfig {
-        block_size: scale.block_size,
-        mem_frames: 24,
-        cache_frames: 16,
-        io_workers: 4,
-        prefetch_depth: 8,
-        write_behind: true,
-        stripe: 4,
-        ..Default::default()
-    };
-    let plan = FaultPlan::transient(0xFA_u64, 0.005);
-    let mut g = IbmGen::new(7, 8, elems, GenConfig::default());
-    let (m, counts) = measure_nexsort_faulty(&mut g, &spec, &cfg, plan, 4)?;
-    if logical0.is_some_and(|c| c != m.breakdown.grand_total()) {
-        t.note(format!(
-            "WARNING: logical I/O drifted under faults: {} vs {}",
-            m.breakdown.grand_total(),
-            logical0.unwrap_or(0)
-        ));
-    }
-    t.push_row(vec![
-        "4 (faulty)".into(),
-        "4".into(),
-        m.breakdown.grand_total().to_string(),
-        m.breakdown.grand_total_physical().to_string(),
-        m.ticks.to_string(),
-        format!("{:.1}", m.sim_wall_seconds()),
-        format!("injected={} retried={}", counts.total(), m.breakdown.total_retries()),
-        m.breakdown.total_prefetch_issued().to_string(),
-        m.breakdown.total_prefetch_hits().to_string(),
-        m.breakdown.total_prefetch_wasted().to_string(),
-        m.breakdown.total_deferred_writes().to_string(),
-    ]);
-    t.note("logical transfers are the paper's cost model and never move with the scheduler");
-    t.note("ticks: virtual device time; workers x stripe queues overlap prefetches and deferred writes, so deep configurations finish in a fraction of the serialized time");
-    Ok(t)
-}
-
 /// **Recovery sweep** -- the crash-consistency layer's price and payoff.
 /// Every row crashes the same checkpointed degenerate sort at a different
 /// fraction of its sorting phase and resumes it from the journal: the
@@ -942,7 +830,7 @@ pub fn jobs_sweep(scale: &ExpScale) -> Result<ExpTable> {
     }
     let _ = std::fs::remove_dir_all(&base);
     t.note("logical-io-per-job: mean per-job logical transfers; asserted identical across all rows (concurrency and queueing never change the paper's cost model)");
-    t.note("wall-s/latency: real threads on real time -- the one table where wall clock, not virtual ticks, is the measurement");
+    t.note("wall-s/latency: real threads on real time -- the one table where wall clock, not simulated disk time, is the measurement");
     t.note(format!(
         "host parallelism: {} hardware thread(s); throughput scales with min(workers, host threads)",
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -1202,31 +1090,6 @@ mod tests {
             cell(warm.iter().find(|r| r[1] == policy && r[2] == mode).unwrap(), 4)
         };
         assert!(phys_of("lru", "write-back") <= phys_of("lru", "write-through"));
-    }
-
-    #[test]
-    fn quick_overlap_sweep_cuts_virtual_time_without_moving_logical_io() {
-        let t = overlap_sweep(&ExpScale::quick()).unwrap();
-        assert!(!t.notes.iter().any(|n| n.contains("WARNING")), "{:?}", t.notes);
-        // Columns: workers, stripe, logical, phys, ticks, sim-wall, speedup, ...
-        let cell = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
-        let sync = t.rows.iter().find(|r| r[0] == "0").unwrap();
-        let full = t.rows.iter().find(|r| r[0] == "4" && r[1] == "4").unwrap();
-        // Acceptance bar: >= 1.5x virtual-time speedup at 4 workers x 4
-        // stripes with prefetch 8, logical I/O bit-identical.
-        assert_eq!(cell(full, 2), cell(sync, 2), "logical I/O must not move");
-        assert!(
-            cell(full, 4) * 3 <= cell(sync, 4) * 2,
-            "expected >= 1.5x: sync {} vs overlapped {}",
-            cell(sync, 4),
-            cell(full, 4)
-        );
-        assert!(cell(full, 8) > 0, "deep config must score prefetch hits: {full:?}");
-        assert!(cell(full, 10) > 0, "write-behind must defer writes: {full:?}");
-        // The faulty row heals by retry and keeps the logical count.
-        let faulty = t.rows.iter().find(|r| r[0].contains("faulty")).unwrap();
-        assert_eq!(cell(faulty, 2), cell(sync, 2));
-        assert!(faulty[6].contains("retried"), "{faulty:?}");
     }
 
     #[test]

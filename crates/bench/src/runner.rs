@@ -13,7 +13,7 @@ use nexsort_baseline::{sort_rec_extent, BaselineOptions};
 use nexsort_datagen::stage_as_recs;
 use nexsort_extmem::{
     CachePolicy, CrashPlan, Disk, FaultCounts, FaultKind, FaultPlan, IoCat, IoSnapshot, MemDevice,
-    MemoryBudget, RetryPolicy, SchedConfig, WriteMode,
+    MemoryBudget, RetryPolicy, WriteMode,
 };
 use nexsort_xml::{EventSource, Result, SortSpec, XmlError};
 
@@ -46,14 +46,6 @@ pub struct RunConfig {
     pub cache_policy: CachePolicy,
     /// Buffer-pool write policy (ignored when `cache_frames` is 0).
     pub cache_write_mode: WriteMode,
-    /// I/O scheduler workers (0 = fully synchronous, the paper's model).
-    pub io_workers: usize,
-    /// Sequential read-ahead depth in blocks (needs workers and a cache).
-    pub prefetch_depth: usize,
-    /// Defer physical writes to the scheduler's write-behind queue.
-    pub write_behind: bool,
-    /// Stripe the in-memory device round-robin over N backing devices.
-    pub stripe: usize,
     /// XOR parity group size for sealed runs (0 = unprotected, 1 = mirror;
     /// extra physical I/O the paper's model does not charge).
     pub parity_group: usize,
@@ -77,10 +69,6 @@ impl Default for RunConfig {
             cache_frames: 0,
             cache_policy: CachePolicy::Lru,
             cache_write_mode: WriteMode::Through,
-            io_workers: 0,
-            prefetch_depth: 0,
-            write_behind: false,
-            stripe: 1,
             parity_group: 0,
             checkpoint: false,
             journal_blocks: 32,
@@ -101,22 +89,9 @@ fn nexsort_opts(cfg: &RunConfig) -> NexsortOptions {
         cache_frames: cfg.cache_frames,
         cache_policy: cfg.cache_policy,
         cache_write_mode: cfg.cache_write_mode,
-        io_workers: cfg.io_workers,
-        prefetch_depth: cfg.prefetch_depth,
-        write_behind: cfg.write_behind,
         parity_group: cfg.parity_group,
         checkpoint: cfg.checkpoint,
         journal_blocks: cfg.journal_blocks,
-    }
-}
-
-/// The configured simulated disk: striped over N in-memory devices when
-/// `cfg.stripe > 1`, a single in-memory device otherwise.
-fn bench_disk(cfg: &RunConfig) -> Rc<Disk> {
-    if cfg.stripe > 1 {
-        Disk::new_striped_mem(cfg.block_size, cfg.stripe)
-    } else {
-        Disk::new_mem(cfg.block_size)
     }
 }
 
@@ -149,10 +124,6 @@ pub struct Measurement {
     pub detail: String,
     /// Wall-clock of the measured phases.
     pub wall: Duration,
-    /// Virtual device-time ticks: the scheduler's clock when one is enabled
-    /// (overlapped transfers advance it less than serialized ones), otherwise
-    /// the physical transfer count (every transfer serialized).
-    pub ticks: u64,
 }
 
 impl Measurement {
@@ -161,17 +132,11 @@ impl Measurement {
         self.sort_ios + self.output_ios
     }
 
-    /// Simulated disk time in seconds at [`SIM_MS_PER_IO`].
+    /// Simulated disk time in seconds at [`SIM_MS_PER_IO`]: one service
+    /// time per *physical* transfer, since only those reach the disk (equal
+    /// to the logical count unless a buffer pool absorbed some).
     pub fn sim_seconds(&self) -> f64 {
-        self.total_ios() as f64 * SIM_MS_PER_IO / 1000.0
-    }
-
-    /// Simulated *wall* time in seconds at [`SIM_MS_PER_IO`], from the
-    /// virtual device-time ticks: with an I/O scheduler, overlapped
-    /// transfers make this smaller than [`sim_seconds`](Self::sim_seconds)
-    /// even though the logical transfer count is unchanged.
-    pub fn sim_wall_seconds(&self) -> f64 {
-        self.ticks as f64 * SIM_MS_PER_IO / 1000.0
+        self.breakdown.grand_total_physical() as f64 * SIM_MS_PER_IO / 1000.0
     }
 }
 
@@ -181,7 +146,7 @@ pub fn measure_nexsort(
     spec: &SortSpec,
     cfg: &RunConfig,
 ) -> Result<Measurement> {
-    let disk = bench_disk(cfg);
+    let disk = Disk::new_mem(cfg.block_size);
     let staged = stage_as_recs(&disk, gen, spec, cfg.compaction)?;
     let sorter = Nexsort::new(disk.clone(), nexsort_opts(cfg), spec.clone())?;
     let sorted = sorter.sort_rec_extent(&staged.extent, staged.dict.clone())?;
@@ -190,13 +155,10 @@ pub fn measure_nexsort(
     let report = &sorted.report;
     let sort_ios = report.io.grand_total();
     let output_ios = out_report.io.grand_total();
-    // Under write-back the pool may still hold dirty frames; flush (and
-    // drain any scheduler-deferred writes) so the physical counters in the
-    // breakdown are final.
+    // Under write-back the pool may still hold dirty frames; flush so the
+    // physical counters in the breakdown are final.
     disk.cache_flush_all()?;
-    disk.io_barrier()?;
     let breakdown = disk.stats().snapshot();
-    let ticks = disk.sched_ticks().unwrap_or_else(|| breakdown.grand_total_physical());
     Ok(Measurement {
         algo: if cfg.degeneration { "nexsort+degen".into() } else { "nexsort".into() },
         n_elements: staged.n_elements,
@@ -219,7 +181,6 @@ pub fn measure_nexsort(
             report.degenerate_merges
         ),
         wall: report.elapsed + out_report.elapsed,
-        ticks,
     })
 }
 
@@ -235,15 +196,7 @@ pub fn measure_nexsort_faulty(
     plan: FaultPlan,
     retries: u32,
 ) -> Result<(Measurement, FaultCounts)> {
-    let (disk, injectors) = if cfg.stripe > 1 {
-        // Each inner device runs its own copy of the plan (same seed: the
-        // schedules stay deterministic, drawn per-device).
-        let plans = (0..cfg.stripe).map(|_| plan.clone()).collect();
-        Disk::new_striped_faulty(cfg.block_size, plans)
-    } else {
-        let (disk, injector) = Disk::new_faulty(Box::new(MemDevice::new(cfg.block_size)), plan);
-        (disk, vec![injector])
-    };
+    let (disk, injector) = Disk::new_faulty(Box::new(MemDevice::new(cfg.block_size)), plan);
     if retries > 0 {
         disk.set_retry_policy(RetryPolicy::retries(retries));
     }
@@ -258,9 +211,7 @@ pub fn measure_nexsort_faulty(
     let sort_ios = report.io.grand_total();
     let output_ios = out_report.io.grand_total();
     disk.cache_flush_all()?;
-    disk.io_barrier()?;
     let breakdown = disk.stats().snapshot();
-    let ticks = disk.sched_ticks().unwrap_or_else(|| breakdown.grand_total_physical());
     let m = Measurement {
         algo: "nexsort+faults".into(),
         n_elements: staged.n_elements,
@@ -279,18 +230,8 @@ pub fn measure_nexsort_faulty(
             breakdown.backoff_units()
         ),
         wall: report.elapsed + out_report.elapsed,
-        ticks,
     };
-    let mut counts = FaultCounts::default();
-    for inj in &injectors {
-        let c = inj.counts();
-        counts.read_errors += c.read_errors;
-        counts.write_errors += c.write_errors;
-        counts.torn_writes += c.torn_writes;
-        counts.read_flips += c.read_flips;
-        counts.write_flips += c.write_flips;
-    }
-    Ok((m, counts))
+    Ok((m, injector.counts()))
 }
 
 /// The outcome of one degraded-mode measurement.
@@ -371,7 +312,6 @@ pub fn measure_nexsort_degraded(
         .map_err(|f| XmlError::Record(f.to_string()))?;
     let recs = sorted2.to_recs()?;
     disk2.cache_flush_all()?;
-    disk2.io_barrier()?;
     let io = disk2.stats().snapshot().since(&before);
     // Health is read after serialization so repairs on the final output run
     // count too; the report's `degraded` bit covers only the sort itself.
@@ -475,21 +415,12 @@ pub fn measure_mergesort(
     spec: &SortSpec,
     cfg: &RunConfig,
 ) -> Result<Measurement> {
-    let disk = bench_disk(cfg);
+    let disk = Disk::new_mem(cfg.block_size);
     let staged = stage_as_recs(&disk, gen, spec, cfg.compaction)?;
     if cfg.cache_frames > 0 {
         // Enabled after staging so the measured pool starts cold.
         let pool_budget = MemoryBudget::new(cfg.cache_frames);
         disk.enable_cache(&pool_budget, cfg.cache_frames, cfg.cache_policy, cfg.cache_write_mode)?;
-    }
-    if cfg.io_workers > 0 {
-        // Likewise after staging, so staging transfers never tick the clock.
-        disk.enable_sched(SchedConfig {
-            workers: cfg.io_workers,
-            prefetch_depth: cfg.prefetch_depth,
-            write_behind: cfg.write_behind,
-            ..SchedConfig::default()
-        });
     }
     let opts = BaselineOptions {
         mem_frames: cfg.mem_frames,
@@ -500,9 +431,7 @@ pub fn measure_mergesort(
     let sorted = sort_rec_extent(&disk, &staged.extent, staged.dict.clone(), spec, &opts)?;
     let wall = start.elapsed();
     disk.cache_flush_all()?;
-    disk.io_barrier()?;
     let breakdown = disk.stats().snapshot();
-    let ticks = disk.sched_ticks().unwrap_or_else(|| breakdown.grand_total_physical());
     let output_ios = breakdown.total(IoCat::OutputWrite);
     let sort_ios = breakdown.grand_total() - output_ios;
     Ok(Measurement {
@@ -525,7 +454,6 @@ pub fn measure_mergesort(
             sorted.report.bytes
         ),
         wall,
-        ticks,
     })
 }
 

@@ -7,8 +7,8 @@ use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_input, BaselineOptions};
 use nexsort_extmem::{
     recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, JournalRecord, RetryPolicy, RunId, RunStore, SchedConfig,
-    ScrubReport, WriteMode,
+    FaultInjector, FaultPlan, IoCat, JournalRecord, RetryPolicy, RunId, RunStore, ScrubReport,
+    WriteMode,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_xml::SortSpec;
@@ -74,14 +74,6 @@ pub struct Cli {
     /// Write-back caching (coalesce writes in the pool) instead of the
     /// default write-through.
     pub write_back: bool,
-    /// I/O scheduler workers (0 = fully synchronous, the paper's model).
-    pub io_workers: usize,
-    /// Sequential read-ahead depth in blocks (needs workers and a cache).
-    pub prefetch_depth: usize,
-    /// Defer physical writes to the scheduler's write-behind queue.
-    pub write_behind: bool,
-    /// Stripe the block device round-robin over N backing devices.
-    pub stripe: usize,
     /// Maintain a write-ahead manifest journal so an interrupted sort can be
     /// resumed without redoing committed work.
     pub checkpoint: bool,
@@ -285,16 +277,6 @@ BUFFER POOL (a pinning page cache between the sorter and the device):
       --write-back      coalesce repeated writes in the pool; the default
                         write-through keeps the device current on every write
 
-I/O SCHEDULER (asynchronous read-ahead / write-behind in deterministic
-virtual time; sorted bytes and logical I/O counts never change):
-      --io-workers N    modeled I/O workers (default: 0 = synchronous)
-      --prefetch-depth N  sequential read-ahead in blocks (default: 0;
-                        needs --io-workers >= 1 and --cache-frames > 0)
-      --write-behind    defer writes to a bounded background queue, drained
-                        at run/output barriers
-      --stripe N        stripe the device round-robin over N backing devices
-                        (default: 1; with --device FILE, uses FILE.0..FILE.N-1)
-
 CRASH CONSISTENCY (a write-ahead manifest journal on the device):
       --checkpoint      journal run-store lifecycle events so an interrupted
                         sort can resume without redoing committed work
@@ -371,7 +353,7 @@ SORT DAEMON (`xsort serve` / `xsort client`, newline-delimited JSON):
   are refused as busy, running jobs finish within the drain deadline, and
   the daemon exits; a restart on the same --job-dir redoes no committed work.
   `client submit` forwards the sort flags above (--default, --key, --block,
-  --mem, --cache-frames, --stripe, --parity-group, ...) in the job spec and
+  --mem, --cache-frames, --parity-group, ...) in the job spec and
   ships FILE inline; `client fetch` streams the output in bounded chunks
   (the `fetch_chunk` protocol verb) and writes it to -o or stdout.
 
@@ -422,10 +404,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cache_frames = 0usize;
     let mut cache_policy = CachePolicy::Lru;
     let mut write_back = false;
-    let mut io_workers = 0usize;
-    let mut prefetch_depth = 0usize;
-    let mut write_behind = false;
-    let mut stripe = 1usize;
     let mut checkpoint = false;
     let mut resume = false;
     let mut crash_after_ios: Option<u64> = None;
@@ -524,25 +502,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--cache-policy" => cache_policy = next_value(&mut it, arg)?.parse()?,
             "--write-back" => write_back = true,
-            "--io-workers" => {
-                io_workers = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--io-workers needs a nonnegative integer".to_string())?
-            }
-            "--prefetch-depth" => {
-                prefetch_depth = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--prefetch-depth needs a nonnegative integer".to_string())?
-            }
-            "--write-behind" => write_behind = true,
-            "--stripe" => {
-                stripe = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--stripe needs a positive integer".to_string())?;
-                if stripe == 0 {
-                    return Err("--stripe must be at least 1".into());
-                }
-            }
             "--checkpoint" => checkpoint = true,
             "--resume" => resume = true,
             "--parity-group" => {
@@ -789,10 +748,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
         cache_frames,
         cache_policy,
         write_back,
-        io_workers,
-        prefetch_depth,
-        write_behind,
-        stripe,
         checkpoint,
         resume,
         crash_after_ios,
@@ -863,16 +818,9 @@ fn crash_offset(cli: &Cli) -> Option<u64> {
     })
 }
 
-/// The `i`-th backing file of a striped `--device FILE`: `FILE.i` (the
-/// builder's scheme; tests use this to inspect the created stripe set).
-#[cfg(test)]
-fn stripe_path(path: &Path, i: usize) -> PathBuf {
-    DiskBuilder::stripe_path(path, i)
-}
-
-/// A configured device stack: the disk, its per-device fault injectors, and
-/// the crash controller when `--crash-after-ios` is in play.
-type DiskSetup = (Rc<Disk>, Vec<FaultInjector>, Option<CrashController>);
+/// A configured device stack: the disk, its fault injector, and the crash
+/// controller when `--crash-after-ios` is in play.
+type DiskSetup = (Rc<Disk>, Option<FaultInjector>, Option<CrashController>);
 
 /// Map the parsed command line onto a [`DiskBuilder`] -- the stack itself
 /// is assembled by the builder (the one sanctioned assembly site), so the
@@ -884,10 +832,7 @@ pub fn disk_spec(cli: &Cli) -> Result<DiskBuilder, String> {
     if want_crash && cli.faults_enabled() {
         return Err("--crash-after-ios cannot be combined with fault injection".into());
     }
-    if cli.faults_enabled() && cli.stripe > 1 && cli.device.is_some() {
-        return Err("--stripe with fault injection uses the in-memory device; drop --device".into());
-    }
-    let mut b = DiskBuilder::new(cli.block_size as usize).stripe(cli.stripe);
+    let mut b = DiskBuilder::new(cli.block_size as usize);
     if let Some(path) = &cli.device {
         b = b.file(path);
     }
@@ -895,7 +840,6 @@ pub fn disk_spec(cli: &Cli) -> Result<DiskBuilder, String> {
         b = b.crash(CrashPlan::Disarmed);
     }
     if cli.faults_enabled() {
-        // One base plan; the builder reseeds it per stripe device.
         b = b.faults(
             FaultPlan::new(cli.fault_seed)
                 .with_read_error_rate(cli.fault_rate)
@@ -917,22 +861,12 @@ pub fn disk_spec(cli: &Cli) -> Result<DiskBuilder, String> {
         let mode = if cli.write_back { WriteMode::Back } else { WriteMode::Through };
         b = b.cache(cli.cache_frames, cli.cache_policy, mode);
     }
-    if cli.io_workers > 0 {
-        // Configured here (not in the sorter) so every algorithm, including
-        // the mergesort baseline, runs under the same scheduler.
-        b = b.sched(SchedConfig {
-            workers: cli.io_workers,
-            prefetch_depth: cli.prefetch_depth,
-            write_behind: cli.write_behind,
-            ..SchedConfig::default()
-        });
-    }
     Ok(b)
 }
 
 fn make_disk(cli: &Cli) -> Result<DiskSetup, String> {
     let stack = disk_spec(cli)?.build().map_err(|e| e.to_string())?;
-    Ok((stack.disk, stack.injectors, stack.crash))
+    Ok((stack.disk, stack.injector, stack.crash))
 }
 
 /// A staged input document: XML text, or pre-encoded records + dictionary.
@@ -974,9 +908,6 @@ fn sort_one(
         cache_frames: cli.cache_frames,
         cache_policy: cli.cache_policy,
         cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
-        io_workers: cli.io_workers,
-        prefetch_depth: cli.prefetch_depth,
-        write_behind: cli.write_behind,
         checkpoint: cli.checkpoint,
         journal_blocks: journal_blocks(cli.block_size as usize),
         parity_group: cli.parity_group,
@@ -1033,9 +964,6 @@ fn sort_one(
         if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
             eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
         }
-        if let Some(ticks) = disk.sched_ticks() {
-            eprintln!("sched: {ticks} virtual ticks, stripe {}", disk.stripe_width());
-        }
         let retried = doc.report.io.total_retries();
         if retried > 0 {
             eprintln!("sort: {retried} transfer(s) healed by retry");
@@ -1066,9 +994,6 @@ fn topk_one(
         cache_frames: cli.cache_frames,
         cache_policy: cli.cache_policy,
         cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
-        io_workers: cli.io_workers,
-        prefetch_depth: cli.prefetch_depth,
-        write_behind: cli.write_behind,
         checkpoint: cli.checkpoint,
         journal_blocks: journal_blocks(cli.block_size as usize),
         parity_group: cli.parity_group,
@@ -1295,10 +1220,6 @@ fn client_spec(
         cache_frames: cli.cache_frames,
         cache_policy: cli.cache_policy,
         write_back: cli.write_back,
-        io_workers: cli.io_workers,
-        prefetch_depth: cli.prefetch_depth,
-        write_behind: cli.write_behind,
-        stripe: cli.stripe,
         parity_group: cli.parity_group,
         pretty: cli.pretty,
         crash_after_ios: cli.crash_after_ios,
@@ -1414,7 +1335,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
     if matches!(cli.command, Command::Client { .. }) {
         return run_client(cli);
     }
-    let (disk, injectors, crash) = make_disk(cli)?;
+    let (disk, injector, crash) = make_disk(cli)?;
     let result: Result<(), CliError> = match &cli.command {
         Command::Sort { input } => {
             let staged = load(cli, &disk, input)?;
@@ -1448,9 +1369,6 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                             "cache: {} frames, {policy}, {mode}",
                             disk.cache_capacity().unwrap_or(0)
                         );
-                    }
-                    if let Some(ticks) = disk.sched_ticks() {
-                        eprintln!("sched: {ticks} virtual ticks, stripe {}", disk.stripe_width());
                     }
                 }
                 match cli.format {
@@ -1641,20 +1559,15 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
         }
     };
     // Under write-back the pool may still hold dirty frames; push them to the
-    // device so a `--device` file is complete on exit. The cache flush can
-    // enqueue deferred writes, so the scheduler barrier comes after it.
+    // device so a `--device` file is complete on exit.
     let result = result.and_then(|()| {
         disk.cache_flush_all().map_err(|e| CliError::from(format!("final cache flush: {e}")))
     });
-    let result = result.and_then(|()| {
-        disk.io_barrier().map_err(|e| CliError::from(format!("final write-behind drain: {e}")))
-    });
     if cli.stats {
-        for (i, inj) in injectors.iter().enumerate() {
+        if let Some(inj) = &injector {
             let counts = inj.counts();
-            let dev = if injectors.len() > 1 { format!(" (device {i})") } else { String::new() };
             eprintln!(
-                "faults injected{dev}: {} over {} reads / {} writes ({counts:?})",
+                "faults injected: {} over {} reads / {} writes ({counts:?})",
                 counts.total(),
                 inj.read_ops(),
                 inj.write_ops(),
@@ -1867,32 +1780,18 @@ mod tests {
     }
 
     #[test]
-    fn sched_flags_parse_with_sane_defaults() {
-        let plain = parse_args(&args(&["sort", "x.xml"])).unwrap();
-        assert_eq!(plain.io_workers, 0);
-        assert_eq!(plain.prefetch_depth, 0);
-        assert!(!plain.write_behind);
-        assert_eq!(plain.stripe, 1);
-
-        let cli = parse_args(&args(&[
-            "sort",
-            "x.xml",
-            "--io-workers",
-            "4",
-            "--prefetch-depth",
-            "8",
-            "--write-behind",
-            "--stripe",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(cli.io_workers, 4);
-        assert_eq!(cli.prefetch_depth, 8);
-        assert!(cli.write_behind);
-        assert_eq!(cli.stripe, 4);
-
-        assert!(parse_args(&args(&["sort", "x.xml", "--io-workers", "lots"])).is_err());
-        assert!(parse_args(&args(&["sort", "x.xml", "--stripe", "0"])).is_err());
+    fn retired_sched_flags_are_rejected_as_unknown() {
+        for flag in [
+            &["--io-workers", "4"][..],
+            &["--prefetch-depth", "8"][..],
+            &["--write-behind"][..],
+            &["--stripe", "4"][..],
+        ] {
+            let mut a = vec!["sort", "x.xml"];
+            a.extend_from_slice(flag);
+            let err = parse_args(&args(&a)).unwrap_err();
+            assert_eq!(err, format!("unknown option {:?}", flag[0]));
+        }
     }
 
     #[test]
@@ -2049,35 +1948,23 @@ mod tests {
             "x.xml",
             "--block",
             "256",
-            "--stripe",
-            "4",
             "--cache-frames",
             "8",
             "--cache-policy",
             "clock",
             "--write-back",
-            "--io-workers",
-            "2",
-            "--prefetch-depth",
-            "4",
-            "--write-behind",
             "--retries",
             "2",
         ]))
         .unwrap();
-        let by_hand = DiskBuilder::new(256)
-            .stripe(4)
-            .retry(RetryPolicy::retries(2))
-            .cache(8, CachePolicy::Clock, WriteMode::Back)
-            .sched(SchedConfig {
-                workers: 2,
-                prefetch_depth: 4,
-                write_behind: true,
-                ..SchedConfig::default()
-            });
+        let by_hand = DiskBuilder::new(256).retry(RetryPolicy::retries(2)).cache(
+            8,
+            CachePolicy::Clock,
+            WriteMode::Back,
+        );
         assert_eq!(disk_spec(&cli).unwrap().describe(), by_hand.describe());
 
-        // Fault flags map to one reseedable base plan plus default retries.
+        // Fault flags map to one plan plus default retries.
         let faulty = parse_args(&args(&[
             "sort",
             "x.xml",
@@ -2090,7 +1977,6 @@ mod tests {
         ]))
         .unwrap();
         let by_hand = DiskBuilder::new(128)
-            .stripe(1)
             .faults(
                 FaultPlan::new(9)
                     .with_read_error_rate(0.01)
@@ -2106,13 +1992,12 @@ mod tests {
         // with the same physical accounting.
         let (cli_disk, _, _) = make_disk(&cli).unwrap();
         let hand_disk = by_hand.build().unwrap().disk;
-        assert_eq!(cli_disk.stripe_width(), 4);
+        assert_eq!(cli_disk.cache_capacity(), Some(8));
         for disk in [&cli_disk, &hand_disk] {
             for i in 0..10u8 {
                 let b = disk.alloc_block();
                 disk.write_block(b, &[i; 128], IoCat::SortScratch).unwrap();
             }
-            disk.io_barrier().unwrap();
         }
         // (the faulty hand-built stack has block size 128; the CLI stack 256
         // -- compare each against itself over time, and the two fault-free
@@ -2132,110 +2017,6 @@ mod tests {
             a.stats().snapshot() == b.stats().snapshot(),
             "identical stacks must account identically"
         );
-    }
-
-    #[test]
-    fn scheduled_sorts_match_the_synchronous_output_bit_for_bit() {
-        let dir = std::env::temp_dir().join(format!("xsort-sch-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("raw.xml");
-        let gen =
-            parse_args(&args(&["gen", "exact:25,5", "--seed", "7", "-o", raw.to_str().unwrap()]))
-                .unwrap();
-        run(&gen).unwrap();
-
-        let base = ["--default", "@k", "--block", "256", "--mem", "4K"];
-        let sort_with = |extra: &[&str], out: &Path| {
-            let mut a = vec!["sort", raw.to_str().unwrap(), "-o", out.to_str().unwrap()];
-            a.extend_from_slice(&base);
-            a.extend_from_slice(extra);
-            run(&parse_args(&args(&a)).unwrap()).unwrap();
-            std::fs::read(out).unwrap()
-        };
-
-        let out = dir.join("out.xml");
-        let sync = sort_with(&[], &out);
-        let full = [
-            "--io-workers",
-            "4",
-            "--prefetch-depth",
-            "8",
-            "--write-behind",
-            "--cache-frames",
-            "8",
-            "--stripe",
-            "4",
-        ];
-        for extra in [
-            &["--io-workers", "1"][..],
-            &["--io-workers", "4", "--write-behind"][..],
-            &["--stripe", "4"][..],
-            &full[..],
-            &["--io-workers", "2", "--write-behind", "--algo", "mergesort"][..],
-        ] {
-            // Mergesort output differs from nexsort's only in report, not
-            // bytes: both are fully sorted documents under the same spec.
-            assert_eq!(sort_with(extra, &out), sync, "{extra:?}");
-        }
-
-        // A scheduled sort on a striped faulty disk still heals by retry and
-        // agrees with the synchronous output.
-        let mut f = vec!["sort", raw.to_str().unwrap(), "-o", out.to_str().unwrap()];
-        f.extend_from_slice(&base);
-        f.extend_from_slice(&full);
-        f.extend_from_slice(&["--fault-rate", "0.02", "--fault-seed", "11"]);
-        run(&parse_args(&args(&f)).unwrap()).unwrap();
-        assert_eq!(std::fs::read(&out).unwrap(), sync);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn striped_device_files_are_created_per_inner_device() {
-        let dir = std::env::temp_dir().join(format!("xsort-std-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("raw.xml");
-        std::fs::write(&raw, b"<r><e id=\"2\"/><e id=\"1\"/></r>").unwrap();
-        let dev = dir.join("device.bin");
-        let out = dir.join("out.xml");
-        let cli = parse_args(&args(&[
-            "sort",
-            raw.to_str().unwrap(),
-            "-o",
-            out.to_str().unwrap(),
-            "--default",
-            "@id:num",
-            "--block",
-            "256",
-            "--device",
-            dev.to_str().unwrap(),
-            "--stripe",
-            "3",
-            "--io-workers",
-            "2",
-            "--write-behind",
-        ]))
-        .unwrap();
-        run(&cli).unwrap();
-        for i in 0..3 {
-            let p = stripe_path(&dev, i);
-            assert!(p.exists(), "missing stripe file {p:?}");
-        }
-        // Striped fault injection is in-memory only: --device must error.
-        let cli = parse_args(&args(&[
-            "sort",
-            raw.to_str().unwrap(),
-            "--default",
-            "@id:num",
-            "--device",
-            dev.to_str().unwrap(),
-            "--stripe",
-            "2",
-            "--fault-rate",
-            "0.01",
-        ]))
-        .unwrap();
-        assert!(run(&cli).unwrap_err().contains("--stripe"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2310,17 +2091,8 @@ mod tests {
             &["--resume", "--crash-after-ios", "200"][..],
             &["--resume", "--crash-after-ios", "150", "--crash-seed", "9"][..],
             &["--resume", "--crash-after-ios", "90", "--algo", "degen"][..],
-            &["--resume", "--crash-after-ios", "120", "--stripe", "3"][..],
-            &[
-                "--resume",
-                "--crash-after-ios",
-                "120",
-                "--io-workers",
-                "2",
-                "--write-behind",
-                "--cache-frames",
-                "6",
-            ][..],
+            &["--resume", "--crash-after-ios", "120"][..],
+            &["--resume", "--crash-after-ios", "120", "--cache-frames", "6"][..],
         ] {
             assert_eq!(sort_with(extra, &out), clean, "{extra:?}");
         }
@@ -2331,38 +2103,6 @@ mod tests {
         a.extend_from_slice(&["--crash-after-ios", "40"]);
         let err = run(&parse_args(&args(&a)).unwrap()).unwrap_err();
         assert!(err.contains("simulated crash"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_stripe_creation_cleans_up_partial_backing_files() {
-        let dir = std::env::temp_dir().join(format!("xsort-stc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("raw.xml");
-        std::fs::write(&raw, b"<r><e id=\"2\"/><e id=\"1\"/></r>").unwrap();
-        let dev = dir.join("device.bin");
-        // `device.bin.1` exists as a *directory*: creating the second stripe
-        // device must fail -- and must take `device.bin.0` down with it.
-        std::fs::create_dir_all(stripe_path(&dev, 1)).unwrap();
-        let cli = parse_args(&args(&[
-            "sort",
-            raw.to_str().unwrap(),
-            "--default",
-            "@id:num",
-            "--block",
-            "256",
-            "--device",
-            dev.to_str().unwrap(),
-            "--stripe",
-            "3",
-        ]))
-        .unwrap();
-        let err = run(&cli).unwrap_err();
-        assert!(err.contains("cannot open device file"), "{err}");
-        assert!(
-            !stripe_path(&dev, 0).exists(),
-            "a failed stripe set must not leave partial backing files behind"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -123,9 +123,8 @@ impl SortFailure {
     }
 
     /// Human name of the failure site. A stack-paging or journal fault keeps
-    /// the algorithm phase in the name: a deferred write-behind failure
-    /// surfaces at a later barrier, and the recorded phase (the one that
-    /// *deferred* the write) is the only clue to what work was in flight.
+    /// the algorithm phase in the name: the phase is the only clue to what
+    /// work was in flight when the stack or journal transfer failed.
     pub fn site(&self) -> String {
         match self.cat {
             Some(c) if self.is_stack_paging() => {
@@ -237,8 +236,7 @@ mod tests {
         };
         assert!(f.is_stack_paging());
         assert!(f.site().starts_with("stack paging"));
-        // The deferring phase is stamped: a write-behind drain that fails at
-        // a later barrier still names the phase that queued the write.
+        // The phase in flight is stamped alongside the stack.
         assert!(f.site().contains("run formation"), "{}", f.site());
         let msg = f.to_string();
         assert!(msg.contains("block 9"), "{msg}");

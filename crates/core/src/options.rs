@@ -44,20 +44,9 @@ pub struct NexsortOptions {
     /// writes to hot blocks; write-through keeps the device current on every
     /// logical write (ignored when `cache_frames` is 0).
     pub cache_write_mode: WriteMode,
-    /// I/O scheduler workers: `0` keeps every transfer synchronous (the
-    /// paper's model, and the default); `>= 1` enables the asynchronous
-    /// scheduler, whose deterministic virtual-time ticks stand in for wall
-    /// time. Logical I/O counts and sorted output are identical either way.
-    pub io_workers: usize,
-    /// Sequential read-ahead depth in blocks (needs `io_workers >= 1` and
-    /// `cache_frames > 0` to hold the prefetched frames; `0` disables).
-    pub prefetch_depth: usize,
-    /// Defer physical writes onto the scheduler's bounded queue, drained in
-    /// the background and at run/output barriers (needs `io_workers >= 1`).
-    pub write_behind: bool,
     /// Crash-consistent checkpointing: maintain a write-ahead manifest
     /// journal on the device (see `nexsort_extmem::Journal`) whose commit
-    /// records land only after an I/O barrier. An interrupted sort can then
+    /// records land only after a pool flush. An interrupted sort can then
     /// be resumed with [`Nexsort::resume_xml_extent`]
     /// (crate::Nexsort::resume_xml_extent) without redoing committed work.
     /// Off by default: journal writes are extra I/O the paper's model does
@@ -103,9 +92,6 @@ impl Default for NexsortOptions {
             cache_frames: 0,
             cache_policy: CachePolicy::Lru,
             cache_write_mode: WriteMode::Through,
-            io_workers: 0,
-            prefetch_depth: 0,
-            write_behind: false,
             checkpoint: false,
             journal_blocks: 32,
             parity_group: 0,
@@ -141,9 +127,6 @@ mod tests {
         assert_eq!(o.cache_frames, 0, "no pool by default: counts match the paper's model");
         assert_eq!(o.cache_policy, CachePolicy::Lru);
         assert_eq!(o.cache_write_mode, WriteMode::Through);
-        assert_eq!(o.io_workers, 0, "synchronous I/O by default: the paper's model");
-        assert_eq!(o.prefetch_depth, 0);
-        assert!(!o.write_behind);
         assert!(!o.checkpoint, "journaling is opt-in: extra I/O outside the paper's model");
         assert!(o.journal_blocks >= 2, "journal needs a header block plus record space");
         assert_eq!(o.parity_group, 0, "redundancy is opt-in: parity I/O is outside the model");

@@ -16,7 +16,7 @@ use std::time::Instant;
 use nexsort_baseline::{ExtentRecSource, ParsedRecSource, RecSource};
 use nexsort_extmem::{
     recover, Disk, ExtStack, Extent, IoCat, IoPhase, Journal, JournalRecord, MemoryBudget,
-    RecoveredState, RunId, RunStore, SchedConfig,
+    RecoveredState, RunId, RunStore,
 };
 use nexsort_xml::{Rec, Result, SortSpec, TagDict, XmlError};
 
@@ -40,10 +40,7 @@ impl Nexsort {
     /// When `opts.cache_frames > 0` and the disk does not already have a
     /// buffer pool, one is enabled here with its own frame budget *on top
     /// of* `mem_frames`: the algorithm's `M` (and therefore its logical I/O)
-    /// is unchanged, the pool only absorbs physical transfers. Likewise,
-    /// `opts.io_workers > 0` enables the asynchronous I/O scheduler
-    /// (read-ahead and write-behind in deterministic virtual time); neither
-    /// logical I/O nor the sorted bytes change.
+    /// is unchanged, the pool only absorbs physical transfers.
     pub fn new(disk: Rc<Disk>, opts: NexsortOptions, spec: SortSpec) -> Result<Self> {
         if opts.mem_frames < NexsortOptions::MIN_MEM_FRAMES {
             return Err(XmlError::Ext(nexsort_extmem::ExtError::BudgetExceeded {
@@ -63,14 +60,6 @@ impl Nexsort {
                 opts.cache_policy,
                 opts.cache_write_mode,
             )?;
-        }
-        if opts.io_workers > 0 && !disk.sched_enabled() {
-            disk.enable_sched(SchedConfig {
-                workers: opts.io_workers,
-                prefetch_depth: opts.prefetch_depth,
-                write_behind: opts.write_behind,
-                ..SchedConfig::default()
-            });
         }
         Ok(Self { disk, opts, spec })
     }
@@ -478,10 +467,6 @@ impl Nexsort {
         // A single subtree sort means nothing was ever collapsed into a
         // pointer: the root run is the whole sorted document.
         report.root_flat = report.subtree_sorts == 1;
-        // Drain any writes still queued behind the scheduler so a deferred
-        // fault surfaces inside the sort (and inside `SortFailure`'s phase
-        // attribution) and the report's physical counts are settled.
-        self.disk.io_barrier()?;
         // The standard algorithm checkpoints at sort-done granularity: one
         // committed batch sealing the whole run tree. (Finer grain would
         // journal every subtree collapse; the stack-resident intermediate
@@ -594,39 +579,6 @@ mod tests {
         assert_eq!(sorted.report.n_records, dom.num_nodes());
         assert_eq!(sorted.report.max_fanout, dom.max_fanout() as u64);
         assert_eq!(sorted.report.max_level, dom.height());
-    }
-
-    #[test]
-    fn scheduler_and_striping_leave_bytes_and_logical_io_unchanged() {
-        let doc = figure_1_d1();
-        let baseline = sort_doc(doc, NexsortOptions::default());
-        let expect = events_to_dom(&baseline.to_events().unwrap()).unwrap();
-
-        // Full async configuration on a 4-way stripe: overlap changes only
-        // virtual time and physical scheduling, never the sorted bytes or
-        // the logical transfer counts the paper's analysis charges.
-        let opts = NexsortOptions {
-            cache_frames: 8,
-            io_workers: 4,
-            prefetch_depth: 8,
-            write_behind: true,
-            ..Default::default()
-        };
-        let disk = Disk::new_striped_mem(128, 4);
-        let input = stage_input(&disk, doc.as_bytes()).unwrap();
-        let nx = Nexsort::new(disk.clone(), opts, spec()).unwrap();
-        assert!(disk.sched_enabled());
-        let sorted = nx.sort_xml_extent(&input).unwrap();
-        let got = events_to_dom(&sorted.to_events().unwrap()).unwrap();
-        assert_eq!(got, expect);
-        for cat in nexsort_extmem::IoCat::ALL {
-            assert_eq!(sorted.report.io.reads(cat), baseline.report.io.reads(cat), "{cat} reads");
-            assert_eq!(
-                sorted.report.io.writes(cat),
-                baseline.report.io.writes(cat),
-                "{cat} writes"
-            );
-        }
     }
 
     #[test]

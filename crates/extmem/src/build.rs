@@ -2,9 +2,8 @@
 //! ad-hoc `match` ladder in every front end.
 //!
 //! The substrate's device middleware composes in a fixed order (bottom to
-//! top): backing device(s) -> stripe -> fault injection -> checksums ->
-//! crash injection -> the accounting [`Disk`] -> page cache -> I/O
-//! scheduler. Before this module, that assembly lived inline in
+//! top): backing device -> fault injection -> checksums -> crash injection
+//! -> the accounting [`Disk`] -> page cache. Before this module, that assembly lived inline in
 //! `cli::make_disk`; a server spawning one stack per job, the benches, and
 //! the tests all need the same composition, so [`DiskBuilder`] makes it an
 //! explicit, inspectable value. [`DiskBuilder::describe`] renders the
@@ -23,14 +22,13 @@ use crate::budget::MemoryBudget;
 use crate::device::{BlockDevice, Disk, FileDevice, MemDevice};
 use crate::fault::{CrashController, CrashPlan, FaultInjector, FaultPlan, RetryPolicy};
 use crate::pool::{CachePolicy, WriteMode};
-use crate::sched::SchedConfig;
 
 /// What backs the bottom of the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Backing {
     /// Host-RAM blocks (tests, benches, default).
     Mem,
-    /// A device file at the given path (striped stacks use `PATH.0..N-1`).
+    /// A device file at the given path.
     File(PathBuf),
 }
 
@@ -52,9 +50,8 @@ impl std::error::Error for BuildError {}
 pub struct DiskStack {
     /// The accounting front door every consumer talks to.
     pub disk: Rc<Disk>,
-    /// One fault injector per backing device, in stripe order (empty when
-    /// fault injection is off).
-    pub injectors: Vec<FaultInjector>,
+    /// The fault injector, when fault injection was configured.
+    pub injector: Option<FaultInjector>,
     /// The crash controller, when a crash layer was configured.
     pub crash: Option<CrashController>,
 }
@@ -62,8 +59,7 @@ pub struct DiskStack {
 impl std::fmt::Debug for DiskStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiskStack")
-            .field("stripe", &self.disk.stripe_width())
-            .field("injectors", &self.injectors.len())
+            .field("injector", &self.injector.is_some())
             .field("crash", &self.crash.is_some())
             .finish()
     }
@@ -72,28 +68,23 @@ impl std::fmt::Debug for DiskStack {
 /// Builder for a layered device stack; see the [module docs](self).
 ///
 /// ```
-/// use nexsort_extmem::{CachePolicy, DiskBuilder, SchedConfig, WriteMode};
+/// use nexsort_extmem::{CachePolicy, DiskBuilder, WriteMode};
 /// let stack = DiskBuilder::new(512)
-///     .stripe(4)
 ///     .cache(8, CachePolicy::Lru, WriteMode::Back)
-///     .sched(SchedConfig { workers: 4, prefetch_depth: 8, write_behind: true,
-///                          ..SchedConfig::default() })
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(stack.disk.stripe_width(), 4);
+/// assert_eq!(stack.disk.cache_capacity(), Some(8));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiskBuilder {
     block_size: usize,
     backing: Backing,
     open_existing: bool,
-    stripe: usize,
-    faults: Vec<FaultPlan>,
+    faults: Option<FaultPlan>,
     crash: Option<CrashPlan>,
     retry: Option<RetryPolicy>,
     cache: Option<(usize, CachePolicy, WriteMode)>,
     cache_budget: Option<MemoryBudget>,
-    sched: Option<SchedConfig>,
     shadow: bool,
 }
 
@@ -104,56 +95,39 @@ impl DiskBuilder {
             block_size,
             backing: Backing::Mem,
             open_existing: false,
-            stripe: 1,
-            faults: Vec::new(),
+            faults: None,
             crash: None,
             retry: None,
             cache: None,
             cache_budget: None,
-            sched: None,
             shadow: false,
         }
     }
 
     /// Back the stack with a device file at `path` (created/truncated).
-    /// With [`stripe`](Self::stripe) `> 1`, files `PATH.0..PATH.N-1` are
-    /// used instead.
     pub fn file(mut self, path: &Path) -> Self {
         self.backing = Backing::File(path.to_path_buf());
         self.open_existing = false;
         self
     }
 
-    /// Back the stack with *existing* device file(s) at `path`, preserving
-    /// their contents -- the resume/scrub path after a restart.
+    /// Back the stack with an *existing* device file at `path`, preserving
+    /// its contents -- the resume/scrub path after a restart.
     pub fn open_file(mut self, path: &Path) -> Self {
         self.backing = Backing::File(path.to_path_buf());
         self.open_existing = true;
         self
     }
 
-    /// Stripe the stack round-robin over `n` backing devices.
-    pub fn stripe(mut self, n: usize) -> Self {
-        self.stripe = n.max(1);
-        self
-    }
-
-    /// Inject faults per `plan` on every backing device, each device's plan
-    /// reseeded by its stripe index (seed + i), under a shared checksum
+    /// Inject faults per `plan` on the backing device, under a checksum
     /// layer. Mutually exclusive with [`crash`](Self::crash).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = vec![plan];
+        self.faults = Some(plan);
         self
     }
 
-    /// Like [`faults`](Self::faults) with an explicit plan per device
-    /// (`plans.len()` must equal the stripe width at build time).
-    pub fn faults_per_device(mut self, plans: Vec<FaultPlan>) -> Self {
-        self.faults = plans;
-        self
-    }
-
-    /// Add a crash-injection layer above the stripe, armed per `plan`.
+    /// Add a crash-injection layer above the backing device, armed per
+    /// `plan`.
     pub fn crash(mut self, plan: CrashPlan) -> Self {
         self.crash = Some(plan);
         self
@@ -188,24 +162,11 @@ impl DiskBuilder {
         self
     }
 
-    /// Enable the asynchronous I/O scheduler.
-    pub fn sched(mut self, cfg: SchedConfig) -> Self {
-        self.sched = Some(cfg);
-        self
-    }
-
     /// Force-attach the shadow-state sanitizer (it also auto-attaches when
     /// `NEXSORT_SHADOW=1` is set in the environment).
     pub fn shadow(mut self, on: bool) -> Self {
         self.shadow = on;
         self
-    }
-
-    /// The `i`-th backing file of a striped file stack: `PATH.i`.
-    pub fn stripe_path(path: &Path, i: usize) -> PathBuf {
-        let mut os = path.as_os_str().to_owned();
-        os.push(format!(".{i}"));
-        PathBuf::from(os)
     }
 
     /// A canonical one-line rendering of the configured stack. Two builders
@@ -218,8 +179,10 @@ impl DiskBuilder {
                 format!("file:{}{}", p.display(), if self.open_existing { ":open" } else { "" })
             }
         };
-        let faults =
-            if self.faults.is_empty() { "none".to_string() } else { format!("{:?}", self.faults) };
+        let faults = match &self.faults {
+            None => "none".to_string(),
+            Some(plan) => format!("{plan:?}"),
+        };
         let cache = match &self.cache {
             None => "none".to_string(),
             Some((frames, policy, mode)) => format!(
@@ -227,89 +190,22 @@ impl DiskBuilder {
                 if self.cache_budget.is_some() { "/leased" } else { "/dedicated" }
             ),
         };
-        let sched = match &self.sched {
-            None => "none".to_string(),
-            Some(c) => format!(
-                "w{}/p{}/{}q{}",
-                c.workers,
-                c.prefetch_depth,
-                if c.write_behind { "wb/" } else { "" },
-                c.queue_capacity
-            ),
-        };
         format!(
-            "block={} backing={} stripe={} faults={} crash={:?} retry={:?} cache={} sched={} \
-             shadow={}",
-            self.block_size,
-            backing,
-            self.stripe,
-            faults,
-            self.crash,
-            self.retry,
-            cache,
-            sched,
-            self.shadow,
+            "block={} backing={} faults={} crash={:?} retry={:?} cache={} shadow={}",
+            self.block_size, backing, faults, self.crash, self.retry, cache, self.shadow,
         )
-    }
-
-    /// One backing device (index `i` of the stripe set). Files created so
-    /// far are tracked in `created` so a mid-set failure can clean up.
-    fn backing_device(
-        &self,
-        i: usize,
-        created: &mut Vec<PathBuf>,
-    ) -> std::result::Result<Box<dyn BlockDevice>, BuildError> {
-        Ok(match &self.backing {
-            Backing::Mem => Box::new(MemDevice::new(self.block_size)),
-            Backing::File(path) => {
-                let p = if self.stripe > 1 { Self::stripe_path(path, i) } else { path.clone() };
-                let dev = if self.open_existing {
-                    FileDevice::open(&p, self.block_size)
-                } else {
-                    FileDevice::create(&p, self.block_size)
-                }
-                .map_err(|e| BuildError(format!("cannot open device file {p:?}: {e}")))?;
-                if !self.open_existing {
-                    created.push(p);
-                }
-                Box::new(dev)
-            }
-        })
     }
 
     /// Assemble the stack. Layer order and composition rules match what
     /// `cli::make_disk` historically built; incompatible layer combinations
     /// fail with a [`BuildError`] naming the conflict.
     pub fn build(self) -> std::result::Result<DiskStack, BuildError> {
-        if !self.faults.is_empty() && self.crash.is_some() {
+        if self.faults.is_some() && self.crash.is_some() {
             return Err(BuildError(
                 "crash injection cannot be combined with fault injection".into(),
             ));
         }
-        if !self.faults.is_empty() && self.stripe > 1 && !matches!(self.backing, Backing::Mem) {
-            return Err(BuildError(
-                "striped fault injection runs on the in-memory device; drop the file backing"
-                    .into(),
-            ));
-        }
-        if !self.faults.is_empty() && self.faults.len() != 1 && self.faults.len() != self.stripe {
-            return Err(BuildError(format!(
-                "{} fault plans for a {}-wide stripe (need 1 or exactly one per device)",
-                self.faults.len(),
-                self.stripe
-            )));
-        }
-
-        let mut created: Vec<PathBuf> = Vec::new();
-        let assembled = self.assemble(&mut created);
-        if assembled.is_err() {
-            // A mid-set failure must not leave partial PATH.0..PATH.i-1
-            // files behind.
-            for p in &created {
-                let _ = std::fs::remove_file(p);
-            }
-        }
-        let (disk, injectors, crash) = assembled?;
+        let (disk, injector, crash) = self.assemble()?;
         if let Some(policy) = self.retry {
             disk.set_retry_policy(policy);
         }
@@ -330,75 +226,46 @@ impl DiskBuilder {
                     .map_err(|e| BuildError(format!("cannot enable the page cache: {e}")))?;
             }
         }
-        if let Some(cfg) = self.sched {
-            if cfg.workers > 0 {
-                disk.enable_sched(cfg);
-            }
-        }
         if self.shadow {
             disk.enable_shadow();
         }
-        Ok(DiskStack { disk, injectors, crash })
+        Ok(DiskStack { disk, injector, crash })
+    }
+
+    /// The backing device at the bottom of the stack.
+    fn backing_device(&self) -> std::result::Result<Box<dyn BlockDevice>, BuildError> {
+        Ok(match &self.backing {
+            Backing::Mem => Box::new(MemDevice::new(self.block_size)),
+            Backing::File(path) => Box::new(
+                if self.open_existing {
+                    FileDevice::open(path, self.block_size)
+                } else {
+                    FileDevice::create(path, self.block_size)
+                }
+                .map_err(|e| BuildError(format!("cannot open device file {path:?}: {e}")))?,
+            ),
+        })
     }
 
     /// The raw device layers, bottom-up, before the accounting disk's own
-    /// optional layers (retry, cache, scheduler) are configured.
+    /// optional layers (retry, cache) are configured.
     #[allow(clippy::type_complexity)]
     fn assemble(
         &self,
-        created: &mut Vec<PathBuf>,
-    ) -> std::result::Result<(Rc<Disk>, Vec<FaultInjector>, Option<CrashController>), BuildError>
+    ) -> std::result::Result<(Rc<Disk>, Option<FaultInjector>, Option<CrashController>), BuildError>
     {
+        let base = self.backing_device()?;
         // Fault injection below, checksums above: the checksum layer is what
         // convicts the corruption the injector plants.
-        if !self.faults.is_empty() {
-            if self.stripe > 1 {
-                let base = &self.faults[0];
-                let plans: Vec<FaultPlan> = if self.faults.len() == self.stripe {
-                    self.faults.clone()
-                } else {
-                    (0..self.stripe).map(|i| base.clone().reseeded(i as u64)).collect()
-                };
-                let (disk, injectors) = Disk::new_striped_faulty(self.block_size, plans);
-                return Ok((disk, injectors, None));
-            }
-            let base = self.backing_device(0, created)?;
-            let (disk, injector) = Disk::new_faulty(base, self.faults[0].clone());
-            return Ok((disk, vec![injector], None));
+        if let Some(plan) = &self.faults {
+            let (disk, injector) = Disk::new_faulty(base, plan.clone());
+            return Ok((disk, Some(injector), None));
         }
-
-        let mut inners: Vec<Box<dyn BlockDevice>> = Vec::with_capacity(self.stripe);
-        for i in 0..self.stripe {
-            match self.backing_device(i, created) {
-                Ok(dev) => inners.push(dev),
-                Err(e) => {
-                    // Drop already-open handles before the caller unlinks
-                    // their files.
-                    drop(inners);
-                    return Err(e);
-                }
-            }
-        }
-
         if let Some(plan) = self.crash {
-            if self.stripe > 1 {
-                let (disk, ctl) = Disk::new_striped_crash_over(inners, plan);
-                return Ok((disk, Vec::new(), Some(ctl)));
-            }
-            let Some(single) = inners.pop() else {
-                return Err(BuildError("stripe width must be at least 1".into()));
-            };
-            let (disk, ctl) = Disk::new_crash(single, plan);
-            return Ok((disk, Vec::new(), Some(ctl)));
+            let (disk, ctl) = Disk::new_crash(base, plan);
+            return Ok((disk, None, Some(ctl)));
         }
-
-        if self.stripe > 1 {
-            return Ok((Disk::new_striped(inners), Vec::new(), None));
-        }
-        let Some(single) = inners.pop() else {
-            return Err(BuildError("stripe width must be at least 1".into()));
-        };
-        Ok((Disk::new(single), Vec::new(), None))
+        Ok((Disk::new(base), None, None))
     }
 }
 
@@ -410,7 +277,7 @@ mod tests {
     #[test]
     fn plain_mem_stack_round_trips() {
         let stack = DiskBuilder::new(128).build().unwrap();
-        assert!(stack.injectors.is_empty() && stack.crash.is_none());
+        assert!(stack.injector.is_none() && stack.crash.is_none());
         let b = stack.disk.alloc_block();
         stack.disk.write_block(b, &[7u8; 128], IoCat::SortScratch).unwrap();
         let mut buf = [0u8; 128];
@@ -420,8 +287,8 @@ mod tests {
 
     #[test]
     fn describe_is_canonical_and_distinguishes_stacks() {
-        let a = DiskBuilder::new(512).stripe(4).cache(8, CachePolicy::Lru, WriteMode::Through);
-        let b = DiskBuilder::new(512).stripe(4).cache(8, CachePolicy::Lru, WriteMode::Through);
+        let a = DiskBuilder::new(512).cache(8, CachePolicy::Lru, WriteMode::Through);
+        let b = DiskBuilder::new(512).cache(8, CachePolicy::Lru, WriteMode::Through);
         assert_eq!(a.describe(), b.describe());
         let c = b.clone().cache(8, CachePolicy::Clock, WriteMode::Through);
         assert_ne!(a.describe(), c.describe());
@@ -438,31 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn striped_faults_reseed_per_device() {
-        let stack = DiskBuilder::new(128)
-            .stripe(3)
-            .faults(FaultPlan::new(9).with_read_error_rate(0.5))
-            .retry(RetryPolicy::retries(4))
-            .build()
-            .unwrap();
-        assert_eq!(stack.injectors.len(), 3);
-        assert_eq!(stack.disk.stripe_width(), 3);
-    }
-
-    #[test]
-    fn striped_file_crash_stack_builds_and_cleans_up_on_failure() {
+    fn file_crash_stack_builds_and_a_bad_path_fails() {
         let dir = std::env::temp_dir().join(format!("xbuild-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dev.bin");
-        let stack =
-            DiskBuilder::new(128).file(&path).stripe(2).crash(CrashPlan::Disarmed).build().unwrap();
+        let stack = DiskBuilder::new(128).file(&path).crash(CrashPlan::Disarmed).build().unwrap();
         assert!(stack.crash.is_some());
-        assert!(DiskBuilder::stripe_path(&path, 0).exists());
-        assert!(DiskBuilder::stripe_path(&path, 1).exists());
+        assert!(path.exists());
         drop(stack);
-        // A backing that cannot be opened cleans up files created so far.
-        let bad = DiskBuilder::new(128).file(&dir.join("no/such/dir/dev.bin")).stripe(2);
-        assert!(bad.build().is_err());
+        let bad = DiskBuilder::new(128).file(&dir.join("no/such/dir/dev.bin"));
+        assert!(bad.build().unwrap_err().to_string().contains("cannot open device file"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

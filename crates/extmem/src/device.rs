@@ -24,9 +24,8 @@ use crate::fault::{
 use crate::pool::{
     CachePolicy, EvictionPolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode,
 };
-use crate::sched::{SchedConfig, SchedCore, StripedDevice, WbEntry};
 use crate::shadow::ShadowState;
-use crate::stats::{CacheEvent, IoCat, IoStats, SchedEvent};
+use crate::stats::{CacheEvent, IoCat, IoStats};
 
 /// Raw block storage: fixed-size blocks addressed by a dense `u64` id.
 pub trait BlockDevice {
@@ -292,10 +291,8 @@ impl BlockDevice for FileDevice {
 /// logical ones. With no pool the two coincide and behavior is byte-identical
 /// to a pool-less build.
 ///
-/// An I/O scheduler ([`Disk::enable_sched`]) additionally defers and overlaps
-/// physical transfers (read-ahead, write-behind, striping) in deterministic
-/// virtual time -- see [`SchedConfig`]. Logical counts and
-/// the bytes an algorithm observes are scheduler-invariant.
+/// Every physical transfer is synchronous: when a read or write call
+/// returns, the device has served it (or the pool has absorbed it).
 pub struct Disk {
     dev: RefCell<Box<dyn BlockDevice>>,
     stats: IoStats,
@@ -305,8 +302,6 @@ pub struct Disk {
     phase: Cell<IoPhase>,
     last_failure: Cell<Option<DiskFailure>>,
     pool: RefCell<Option<PoolCore>>,
-    sched: RefCell<Option<SchedCore>>,
-    stripe: Cell<usize>,
     shadow: RefCell<Option<ShadowState>>,
     health: RefCell<DeviceHealth>,
 }
@@ -336,8 +331,6 @@ impl Disk {
             phase: Cell::new(IoPhase::default()),
             last_failure: Cell::new(None),
             pool: RefCell::new(None),
-            sched: RefCell::new(None),
-            stripe: Cell::new(1),
             shadow: RefCell::new(shadow),
             health: RefCell::new(DeviceHealth::new()),
         })
@@ -396,46 +389,6 @@ impl Disk {
         Self::new(Box::new(MemDevice::new(block_size)))
     }
 
-    /// A disk striped over the given inner devices (see [`StripedDevice`]).
-    /// The stripe width is remembered so a later [`Disk::enable_sched`] can
-    /// route blocks to per-device queues.
-    pub fn new_striped(inners: Vec<Box<dyn BlockDevice>>) -> Rc<Self> {
-        let n = inners.len();
-        let disk = Self::new(Box::new(StripedDevice::new(inners)));
-        disk.stripe.set(n.max(1));
-        disk
-    }
-
-    /// A disk striped over `stripe` in-memory devices.
-    pub fn new_striped_mem(block_size: usize, stripe: usize) -> Rc<Self> {
-        assert!(stripe >= 1, "a stripe needs at least one device");
-        let inners: Vec<Box<dyn BlockDevice>> =
-            (0..stripe).map(|_| Box::new(MemDevice::new(block_size)) as _).collect();
-        Self::new_striped(inners)
-    }
-
-    /// A striped in-memory disk whose inner devices are each independently
-    /// fault-injected per the matching plan (one per device), under a shared
-    /// checksum layer keyed by global block id. Returns one
-    /// [`FaultInjector`] per inner device, in stripe order.
-    pub fn new_striped_faulty(
-        block_size: usize,
-        plans: Vec<FaultPlan>,
-    ) -> (Rc<Self>, Vec<FaultInjector>) {
-        assert!(!plans.is_empty(), "a striped faulty disk needs at least one plan");
-        let mut inners: Vec<Box<dyn BlockDevice>> = Vec::with_capacity(plans.len());
-        let mut injectors = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let faulty = FaultyDevice::new(MemDevice::new(block_size), plan);
-            injectors.push(faulty.injector());
-            inners.push(Box::new(faulty));
-        }
-        let n = inners.len();
-        let disk = Self::new(Box::new(ChecksummedDevice::new(StripedDevice::new(inners))));
-        disk.stripe.set(n);
-        (disk, injectors)
-    }
-
     /// Wrap `dev` in a [`CrashDevice`] armed per `plan`: at the crash point
     /// every transfer starts failing with
     /// [`ExtError::SimulatedCrash`](crate::ExtError::SimulatedCrash) and the
@@ -444,46 +397,6 @@ impl Disk {
         let crash = CrashDevice::new(dev, plan);
         let ctl = crash.controller();
         (Self::new(Box::new(crash)), ctl)
-    }
-
-    /// A crash-injected disk striped over `stripe` in-memory devices. The
-    /// crash layer sits *above* the stripe, so the I/O index that triggers
-    /// the crash counts transfers across the whole stripe set.
-    pub fn new_striped_crash(
-        block_size: usize,
-        stripe: usize,
-        plan: CrashPlan,
-    ) -> (Rc<Self>, CrashController) {
-        assert!(stripe >= 1, "a stripe needs at least one device");
-        let inners: Vec<Box<dyn BlockDevice>> =
-            (0..stripe).map(|_| Box::new(MemDevice::new(block_size)) as _).collect();
-        let crash = CrashDevice::new(StripedDevice::new(inners), plan);
-        let ctl = crash.controller();
-        let disk = Self::new(Box::new(crash));
-        disk.stripe.set(stripe);
-        (disk, ctl)
-    }
-
-    /// Like [`new_striped_crash`](Self::new_striped_crash) but over
-    /// caller-supplied inner devices (e.g. file-backed stripes), for
-    /// assembly sites that need crash injection above a non-memory stripe.
-    pub fn new_striped_crash_over(
-        inners: Vec<Box<dyn BlockDevice>>,
-        plan: CrashPlan,
-    ) -> (Rc<Self>, CrashController) {
-        assert!(!inners.is_empty(), "a stripe needs at least one device");
-        let n = inners.len();
-        let crash = CrashDevice::new(StripedDevice::new(inners), plan);
-        let ctl = crash.controller();
-        let disk = Self::new(Box::new(crash));
-        disk.stripe.set(n);
-        (disk, ctl)
-    }
-
-    /// How many devices the underlying storage is striped across (1 when
-    /// not striped).
-    pub fn stripe_width(&self) -> usize {
-        self.stripe.get()
     }
 
     /// A file-backed disk at `path` (truncates any existing file).
@@ -498,7 +411,7 @@ impl Disk {
     }
 
     /// A point-in-time copy of the device health map: quarantined blocks,
-    /// parity repairs, re-derived runs, and per-device fault clustering.
+    /// parity repairs and re-derived runs.
     pub fn health(&self) -> DeviceHealth {
         self.health.borrow().clone()
     }
@@ -511,21 +424,15 @@ impl Disk {
     /// Quarantine `block`: it is never freed, never reallocated, and every
     /// subsequent transfer addressing it fails with
     /// [`ExtError::BlockQuarantined`](crate::ExtError::BlockQuarantined).
-    /// Any cached frame or deferred write of the block is dropped -- its
-    /// content is untrustworthy and must not resurface. The fault is
-    /// attributed to stripe device `block % stripe_width` for clustering.
+    /// Any cached frame of the block is dropped -- its content is
+    /// untrustworthy and must not resurface.
     pub fn quarantine_block(&self, block: u64) {
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
             // A pinned frame on a quarantined block would be a repair-layer
             // bug; invalidation failure is not actionable here.
             let _ = pool.invalidate(block);
         }
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            s.wb.retain(|e| e.block != block);
-            s.inflight.remove(&block);
-        }
-        let device = (block % self.stripe.get().max(1) as u64) as u32;
-        self.health.borrow_mut().quarantine(block, device);
+        self.health.borrow_mut().quarantine(block);
     }
 
     /// Count one successful parity reconstruction in the health map.
@@ -658,15 +565,7 @@ impl Disk {
             return Ok(());
         }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            if pool.invalidate(id)? {
-                self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchWasted);
-            }
-        }
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            // Deferred writes of a dead block must never land: a recycled id
-            // would read back the stale bytes.
-            s.wb.retain(|e| e.block != id);
-            s.inflight.remove(&id);
+            pool.invalidate(id)?;
         }
         self.dev.borrow_mut().free(id)?;
         if let Some(sh) = self.shadow.borrow().as_ref() {
@@ -675,9 +574,9 @@ impl Disk {
         Ok(())
     }
 
-    /// One physical read reaching the device *right now*: retry loop,
-    /// physical counter, trace entry. No logical charge, no scheduling.
-    fn phys_read_now(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
+    /// One physical read reaching the device: retry loop, physical counter,
+    /// trace entry. No logical charge.
+    fn phys_read(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
         self.with_retries(cat, id, true, |dev| dev.read(id, buf))?;
         self.stats.add_phys_reads(cat, 1);
         if let Some(t) = self.trace.borrow_mut().as_mut() {
@@ -686,95 +585,13 @@ impl Disk {
         Ok(())
     }
 
-    /// One physical write reaching the device *right now*: retry loop,
-    /// physical counter, trace entry. No logical charge, no scheduling.
-    fn phys_write_now(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
+    /// One physical write reaching the device: retry loop, physical counter,
+    /// trace entry. No logical charge.
+    fn phys_write(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
         self.with_retries(cat, id, false, |dev| dev.write(id, data))?;
         self.stats.add_phys_writes(cat, 1);
         if let Some(t) = self.trace.borrow_mut().as_mut() {
             t.push(TraceEntry { is_read: false, block: id, cat });
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_landed(id);
-        }
-        Ok(())
-    }
-
-    /// A physical read, through the scheduler when one is enabled: any
-    /// deferred write of `id` still parked on the write-behind queue is
-    /// drained first (FIFO, so earlier writes to other blocks land too),
-    /// then the read is accounted as one synchronous transfer.
-    fn phys_read(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
-        if self.sched.borrow().is_some() {
-            self.drain_writes_for(id)?;
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                s.tick_sync(id);
-            }
-        }
-        self.phys_read_now(id, buf, cat)
-    }
-
-    /// A physical write, through the scheduler when one is enabled: with
-    /// write-behind on, the write is copied onto the bounded dirty queue
-    /// (backpressuring by draining the oldest entry when full) and reaches
-    /// the device later; otherwise it reaches the device immediately. With
-    /// write-behind off the physical transfer sequence is byte-identical to
-    /// a scheduler-less disk.
-    fn phys_write(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
-        let write_behind = self.sched.borrow().as_ref().is_some_and(|s| s.write_behind);
-        if !write_behind {
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                s.tick_sync(id);
-            }
-            return self.phys_write_now(id, data, cat);
-        }
-        while self.sched.borrow().as_ref().is_some_and(|s| s.wb.len() >= s.queue_capacity) {
-            self.drain_one_write()?;
-        }
-        {
-            let mut s_ref = self.sched.borrow_mut();
-            // Single-threaded, so the scheduler checked above is still there;
-            // if it ever were not, falling back to an immediate write keeps
-            // the data safe without panicking.
-            let Some(s) = s_ref.as_mut() else {
-                drop(s_ref);
-                return self.phys_write_now(id, data, cat);
-            };
-            s.wb.push_back(WbEntry {
-                block: id,
-                data: data.to_vec(),
-                cat,
-                phase: self.phase.get(),
-            });
-            s.tick_async(id);
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_deferred(id);
-        }
-        self.stats.add_sched_event(self.phase.get(), SchedEvent::DeferredWrite);
-        Ok(())
-    }
-
-    /// Send the oldest deferred write to the device. On failure the entry
-    /// stays queued (nothing is lost) and the recorded [`DiskFailure`] names
-    /// the block under the phase that *issued* the write.
-    fn drain_one_write(&self) -> Result<()> {
-        let mut s_ref = self.sched.borrow_mut();
-        let Some(s) = s_ref.as_mut() else { return Ok(()) };
-        let Some(front) = s.wb.front() else { return Ok(()) };
-        let (block, cat, phase) = (front.block, front.cat, front.phase);
-        let saved = self.phase.replace(phase);
-        let result = self.phys_write_now(block, &front.data, cat);
-        self.phase.set(saved);
-        result?;
-        s.wb.pop_front();
-        Ok(())
-    }
-
-    /// Drain the write-behind queue until no deferred write of `id` remains.
-    fn drain_writes_for(&self, id: u64) -> Result<()> {
-        while self.sched.borrow().as_ref().is_some_and(|s| s.has_pending_write(id)) {
-            self.drain_one_write()?;
         }
         Ok(())
     }
@@ -833,7 +650,6 @@ impl Disk {
         let phase = self.phase.get();
         if let Some(slot) = pool.lookup(id) {
             self.stats.add_cache_event(phase, CacheEvent::Hit);
-            self.note_prefetch_consumed(pool, slot, id);
             buf[..self.block_size]
                 .copy_from_slice(&pool.slot_data(slot).borrow()[..self.block_size]);
             return Ok(());
@@ -908,13 +724,7 @@ impl Disk {
                     self.stats.add_cache_event(self.phase.get(), CacheEvent::DirtyWriteback);
                 }
                 self.stats.add_cache_event(self.phase.get(), CacheEvent::Eviction);
-                if pool.detach(slot) {
-                    // Evicted before anyone read it: the prefetch was wasted.
-                    self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchWasted);
-                    if let Some(s) = self.sched.borrow_mut().as_mut() {
-                        s.inflight.remove(&block);
-                    }
-                }
+                pool.detach(slot);
                 Ok(slot)
             }
         }
@@ -927,16 +737,16 @@ impl Disk {
         if let Some(sh) = self.shadow.borrow().as_ref() {
             sh.check_read(id, self.dev.borrow().num_blocks())?;
         }
-        self.phys_read_now(id, buf, IoCat::Journal)?;
+        self.phys_read(id, buf, IoCat::Journal)?;
         self.stats.add_reads(IoCat::Journal, 1);
         Ok(())
     }
 
-    /// Write a journal block *synchronously*, bypassing the buffer pool and
-    /// the write-behind queue: when this returns, the bytes are on the
-    /// device. Journal records must be durable before the commit record
-    /// that covers them, so deferring them is never correct. Any stale
-    /// cached frame for the block is invalidated first.
+    /// Write a journal block *synchronously*, bypassing the buffer pool:
+    /// when this returns, the bytes are on the device. Journal records must
+    /// be durable before the commit record that covers them, so caching
+    /// them is never correct. Any stale cached frame for the block is
+    /// invalidated first.
     pub fn journal_write(&self, id: u64, data: &[u8]) -> Result<()> {
         debug_assert!(data.len() <= self.block_size);
         if let Some(sh) = self.shadow.borrow().as_ref() {
@@ -945,41 +755,19 @@ impl Disk {
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
             pool.invalidate(id)?;
         }
-        self.phys_write_now(id, data, IoCat::Journal)?;
+        self.phys_write(id, data, IoCat::Journal)?;
         self.stats.add_writes(IoCat::Journal, 1);
         Ok(())
     }
 
-    /// Discard all volatile I/O state: every deferred write still parked on
-    /// the write-behind queue and every buffer-pool frame, without writing
-    /// anything back. Crash recovery only -- after a simulated crash the
-    /// device image (not what this process had in memory) is the
-    /// authoritative state, and replaying stale frames or deferred writes
-    /// over it would corrupt the recovered sort.
+    /// Discard all volatile I/O state -- every buffer-pool frame -- without
+    /// writing anything back. Crash recovery only: after a simulated crash
+    /// the device image (not what this process had in memory) is the
+    /// authoritative state, and writing stale frames over it would corrupt
+    /// the recovered sort.
     pub fn purge_volatile(&self) {
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            s.wb.clear();
-            s.inflight.clear();
-        }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
             pool.purge_all();
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_purged();
-        }
-    }
-
-    /// Hit-path bookkeeping: the first logical read of a prefetched frame is
-    /// a prefetch hit, and the algorithm catches up with the background
-    /// transfer's completion tick.
-    fn note_prefetch_consumed(&self, pool: &mut PoolCore, slot: usize, id: u64) {
-        if pool.take_prefetched(slot) {
-            self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchHit);
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                if let Some(tick) = s.inflight.remove(&id) {
-                    s.observe_completion(tick);
-                }
-            }
         }
     }
 }
@@ -1151,7 +939,6 @@ impl Disk {
         let phase = self.phase.get();
         let slot = if let Some(slot) = pool.lookup(block) {
             self.stats.add_cache_event(phase, CacheEvent::Hit);
-            self.note_prefetch_consumed(pool, slot, block);
             slot
         } else {
             self.stats.add_cache_event(phase, CacheEvent::Miss);
@@ -1186,127 +973,6 @@ impl Disk {
         }
         if let Some(sh) = self.shadow.borrow().as_ref() {
             sh.note_unpin(block, shared);
-        }
-    }
-}
-
-/// I/O scheduler management (see [`SchedConfig`] and [`StripedDevice`]).
-impl Disk {
-    /// Enable the asynchronous I/O scheduler. Read-ahead additionally needs
-    /// a buffer pool ([`Disk::enable_cache`]) to hold prefetched frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.workers == 0`, `cfg.queue_capacity == 0`, or a
-    /// scheduler is already enabled (check [`Disk::sched_enabled`] first).
-    pub fn enable_sched(&self, cfg: SchedConfig) {
-        let mut slot = self.sched.borrow_mut();
-        assert!(slot.is_none(), "I/O scheduler already enabled on this disk");
-        *slot = Some(SchedCore::new(cfg, self.stripe.get()));
-    }
-
-    /// Whether an I/O scheduler is currently enabled.
-    pub fn sched_enabled(&self) -> bool {
-        self.sched.borrow().is_some()
-    }
-
-    /// Drain every deferred write and tear the scheduler down. Errors (from
-    /// a failing deferred write) leave the scheduler enabled with the
-    /// failing entry still queued.
-    pub fn disable_sched(&self) -> Result<()> {
-        if self.sched.borrow().is_none() {
-            return Ok(());
-        }
-        self.io_barrier()?;
-        *self.sched.borrow_mut() = None;
-        Ok(())
-    }
-
-    /// Wait for all background I/O: drain the write-behind queue in FIFO
-    /// order and advance the virtual clock past every busy device queue.
-    /// Errors surface here with the [`DiskFailure`] naming the deferred
-    /// block and the phase that issued it; the failing entry stays queued so
-    /// a retry loses nothing. A no-op when no scheduler is enabled.
-    pub fn io_barrier(&self) -> Result<()> {
-        if self.sched.borrow().is_none() {
-            return Ok(());
-        }
-        while self.sched.borrow().as_ref().is_some_and(|s| !s.wb.is_empty()) {
-            self.drain_one_write()?;
-        }
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            s.barrier_clock();
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_barrier()?;
-        }
-        Ok(())
-    }
-
-    /// Virtual time elapsed on this disk in scheduler ticks, if a scheduler
-    /// is enabled. With one worker on one device this equals the number of
-    /// physical transfers; overlap drives it below that.
-    pub fn sched_ticks(&self) -> Option<u64> {
-        self.sched.borrow().as_ref().map(SchedCore::ticks)
-    }
-
-    /// The effective read-ahead depth: the configured `prefetch_depth` when
-    /// both a scheduler and a buffer pool (to hold the frames) are enabled,
-    /// otherwise 0.
-    pub fn prefetch_depth(&self) -> usize {
-        if self.pool.borrow().is_none() {
-            return 0;
-        }
-        self.sched.borrow().as_ref().map_or(0, |s| s.prefetch_depth)
-    }
-
-    /// Speculatively load `blocks` into the buffer pool as background reads.
-    ///
-    /// Best-effort: blocks already resident or with a deferred write still
-    /// queued are skipped (reading the device would resurrect stale bytes),
-    /// and any error -- pool pressure or an injected fault -- abandons the
-    /// remaining window without reporting a failure. A prefetch is charged
-    /// as a physical (never logical) read; the sync read that later consumes
-    /// the frame counts a cache hit plus a prefetch hit. A no-op unless
-    /// [`Disk::prefetch_depth`] is nonzero.
-    pub fn prefetch(&self, blocks: &[u64], cat: IoCat) {
-        if self.prefetch_depth() == 0 {
-            return;
-        }
-        // Speculation must not disturb failure reporting: whatever happens
-        // in here, `last_failure` reads as if the prefetch never ran.
-        let saved_failure = self.last_failure.get();
-        for &id in blocks {
-            if self.sched.borrow().as_ref().is_some_and(|s| s.has_pending_write(id)) {
-                continue;
-            }
-            let mut pool_ref = self.pool.borrow_mut();
-            let Some(pool) = pool_ref.as_mut() else { return };
-            if pool.peek(id).is_some() {
-                continue;
-            }
-            let Ok(slot) = self.obtain_slot(pool) else {
-                self.last_failure.set(saved_failure);
-                return;
-            };
-            let data = pool.slot_data(slot);
-            let read = {
-                let mut d = data.borrow_mut();
-                self.phys_read_now(id, &mut d, cat)
-            };
-            if read.is_err() {
-                pool.release_slot(slot);
-                self.last_failure.set(saved_failure);
-                return;
-            }
-            pool.install(slot, id);
-            pool.set_prefetched(slot);
-            drop(pool_ref);
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                let done = s.tick_async(id);
-                s.inflight.insert(id, done);
-            }
-            self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchIssued);
         }
     }
 }

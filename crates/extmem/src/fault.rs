@@ -131,13 +131,6 @@ impl FaultPlan {
         Self::new(seed).with_read_error_rate(rate).with_write_error_rate(rate)
     }
 
-    /// The same plan with its seed offset by `delta`: how a stripe set turns
-    /// one plan into independently seeded per-device plans.
-    pub fn reseeded(mut self, delta: u64) -> Self {
-        self.seed = self.seed.wrapping_add(delta);
-        self
-    }
-
     /// Probability that a read fails with a transient error.
     pub fn with_read_error_rate(mut self, rate: f64) -> Self {
         self.read_error_rate = check_rate(rate);
@@ -839,10 +832,9 @@ impl fmt::Display for IoPhase {
 
 // ---------- the device health map ----------
 
-/// Per-device health record kept by [`Disk`](crate::Disk): which blocks have
-/// been quarantined after hard media faults, how many repairs the parity
-/// layer performed, and how the faults cluster across the devices of a
-/// stripe set (device 0 for an unstriped disk).
+/// Device health record kept by [`Disk`](crate::Disk): which blocks have
+/// been quarantined after hard media faults, and how many repairs and
+/// re-derivations the self-healing layer performed.
 ///
 /// A quarantined block is *never freed and never reallocated*: its content is
 /// untrustworthy, so the self-healing layer rewrites repaired data to a fresh
@@ -852,7 +844,6 @@ pub struct DeviceHealth {
     quarantined: BTreeSet<u64>,
     repairs: u64,
     rederived_runs: u64,
-    faults_by_device: BTreeMap<u32, u64>,
 }
 
 impl DeviceHealth {
@@ -861,12 +852,10 @@ impl DeviceHealth {
         Self::default()
     }
 
-    /// Quarantine `block`, attributing the fault to stripe device `device`.
-    /// Re-quarantining an already-quarantined block is a no-op.
-    pub fn quarantine(&mut self, block: u64, device: u32) {
-        if self.quarantined.insert(block) {
-            *self.faults_by_device.entry(device).or_insert(0) += 1;
-        }
+    /// Quarantine `block`. Re-quarantining an already-quarantined block is
+    /// a no-op.
+    pub fn quarantine(&mut self, block: u64) {
+        self.quarantined.insert(block);
     }
 
     /// True if `block` has been quarantined.
@@ -903,13 +892,6 @@ impl DeviceHealth {
     pub fn rederived_runs(&self) -> u64 {
         self.rederived_runs
     }
-
-    /// Hard faults attributed to each stripe device: `(device, faults)`
-    /// pairs, ascending by device. Clustering here (many faults on one
-    /// device) is the signal an operator would use to pull a disk.
-    pub fn fault_clustering(&self) -> Vec<(u32, u64)> {
-        self.faults_by_device.iter().map(|(&d, &n)| (d, n)).collect()
-    }
 }
 
 impl fmt::Display for DeviceHealth {
@@ -920,11 +902,7 @@ impl fmt::Display for DeviceHealth {
             self.num_quarantined(),
             self.repairs,
             self.rederived_runs
-        )?;
-        for (dev, n) in self.fault_clustering() {
-            write!(f, "; dev{dev}:{n}")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -1441,12 +1419,12 @@ mod tests {
     }
 
     #[test]
-    fn device_health_tracks_quarantine_repairs_and_clustering() {
+    fn device_health_tracks_quarantine_and_repairs() {
         let mut h = DeviceHealth::new();
         assert_eq!(h.num_quarantined(), 0);
-        h.quarantine(10, 0);
-        h.quarantine(11, 1);
-        h.quarantine(10, 2); // duplicate: ignored, not re-attributed
+        h.quarantine(10);
+        h.quarantine(11);
+        h.quarantine(10); // duplicate: ignored
         h.note_repair();
         h.note_repair();
         h.note_rederivation();
@@ -1456,10 +1434,8 @@ mod tests {
         assert_eq!(h.quarantined_blocks().collect::<Vec<_>>(), vec![10, 11]);
         assert_eq!(h.repairs(), 2);
         assert_eq!(h.rederived_runs(), 1);
-        assert_eq!(h.fault_clustering(), vec![(0, 1), (1, 1)]);
         let s = h.to_string();
-        assert!(s.contains("2 quarantined") && s.contains("2 repaired"), "{s}");
-        assert!(s.contains("dev0:1") && s.contains("dev1:1"), "{s}");
+        assert_eq!(s, "2 quarantined, 2 repaired, 1 rederived");
     }
 
     #[test]

@@ -25,19 +25,15 @@
 //!   [`CachePolicy`], [`WriteMode`]): an optional page cache between the
 //!   accounting layer and the device, so *physical* transfers can drop below
 //!   the *logical* transfers the paper's analysis counts;
-//! * the asynchronous I/O scheduler ([`Disk::enable_sched`], [`SchedConfig`],
-//!   [`StripedDevice`]): sequential read-ahead into the pool, write-behind
-//!   with barrier semantics, and round-robin striping over independently
-//!   faultable devices -- all modeled in deterministic virtual time;
 //! * the crash-consistency layer ([`Journal`], [`recover`], [`CrashDevice`]):
-//!   a write-ahead manifest journal whose commit records land only after an
-//!   I/O barrier, replay with strict torn-tail rules, free-map
+//!   a write-ahead manifest journal whose commit records land only after a
+//!   pool flush, replay with strict torn-tail rules, free-map
 //!   reconciliation, and a deterministic crash-point injector.
 //!
-//! Everything here is deliberately single-threaded (`Rc`/`Cell`). The I/O
-//! scheduler models worker overlap in deterministic virtual time rather than
-//! OS threads, so the paper's sequential logical I/O accounting -- and every
-//! run's bit-for-bit reproducibility -- survives intact.
+//! Everything here is deliberately single-threaded (`Rc`/`Cell`), and every
+//! physical transfer is synchronous, so the paper's sequential logical I/O
+//! accounting -- and every run's bit-for-bit reproducibility -- holds by
+//! construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +52,6 @@ mod pool;
 mod recovery;
 mod repair;
 mod run_store;
-mod sched;
 mod shadow;
 mod stack;
 mod stats;
@@ -82,7 +77,6 @@ pub use pool::{
 pub use recovery::{fold_records, recover, RecoveredState};
 pub use repair::{RunParity, RunReader, ScrubReport};
 pub use run_store::{RunId, RunStore, RunWriter};
-pub use sched::{SchedConfig, StripedDevice};
 pub use shadow::ShadowState;
 pub use stack::ExtStack;
-pub use stats::{CacheEvent, IoCat, IoSnapshot, IoStats, SchedEvent};
+pub use stats::{CacheEvent, IoCat, IoSnapshot, IoStats};

@@ -247,8 +247,7 @@ pub struct TopK {
 impl TopK {
     /// A top-k operator over `disk` for the given ordering criterion.
     /// Shares [`Nexsort::new`](nexsort::Nexsort)'s setup: `opts.cache_frames`
-    /// / `opts.io_workers` enable the buffer pool and scheduler if the disk
-    /// does not have them yet. Deferred (end-tag-resolved) keys are not
+    /// enables the buffer pool if the disk does not have one yet. Deferred (end-tag-resolved) keys are not
     /// supported (same restriction as degeneration mode).
     pub fn new(disk: Rc<Disk>, opts: NexsortOptions, spec: SortSpec, k: u64) -> Result<Self> {
         if k == 0 {
@@ -259,7 +258,7 @@ impl TopK {
                 "deferred keys are not supported by the top-k operator".into(),
             ));
         }
-        // Reuse the sorter's validation and cache/scheduler setup verbatim.
+        // Reuse the sorter's validation and cache setup verbatim.
         let nx = nexsort::Nexsort::new(disk.clone(), opts, spec)?;
         let (opts, spec) = (nx.options().clone(), nx.spec().clone());
         Ok(Self { disk, opts, spec, k })
@@ -391,7 +390,6 @@ impl TopK {
                 &mut report,
                 state.committed_passes,
             )?;
-            self.disk.io_barrier().map_err(XmlError::Ext)?;
             report.sort.io = stats.snapshot().since(&io_before);
             report.sort.elapsed = start.elapsed();
             absorb_health(&mut report.sort, &health_before, &self.disk.health());
@@ -472,7 +470,6 @@ impl TopK {
         }
 
         let root = self.select(&store, pending, budget, journal, &mut report, 0)?;
-        self.disk.io_barrier().map_err(XmlError::Ext)?;
         report.sort.io = stats.snapshot().since(&io_before);
         report.sort.elapsed = start.elapsed();
         self.disk.set_phase(entry_phase);

@@ -5,7 +5,7 @@
 //!
 //! * `input.xml`  -- a private copy of the input document, taken at accept
 //!   time so a resumed job never depends on the submitter's file surviving;
-//! * `device.bin` (plus `.0..N-1` when striped) -- the job's block device,
+//! * `device.bin` -- the job's block device,
 //!   carrying the sort's PR-5 write-ahead journal;
 //! * `job.json`   -- the manifest: the full spec, the lifecycle state, and
 //!   (once staged) the raw input extent, i.e. everything a restarted daemon
@@ -107,14 +107,6 @@ pub struct JobSpec {
     pub cache_policy: CachePolicy,
     /// Write-back caching instead of write-through.
     pub write_back: bool,
-    /// I/O scheduler workers (0 = synchronous).
-    pub io_workers: usize,
-    /// Read-ahead depth in blocks.
-    pub prefetch_depth: usize,
-    /// Defer physical writes to the write-behind queue.
-    pub write_behind: bool,
-    /// Stripe the device over N backing files.
-    pub stripe: usize,
     /// Parity blocks per K data blocks of each sealed run (0 = none).
     pub parity_group: usize,
     /// Pretty-print the XML output.
@@ -143,10 +135,6 @@ impl Default for JobSpec {
             cache_frames: 0,
             cache_policy: CachePolicy::Lru,
             write_back: false,
-            io_workers: 0,
-            prefetch_depth: 0,
-            write_behind: false,
-            stripe: 1,
             parity_group: 0,
             pretty: false,
             crash_after_ios: None,
@@ -281,21 +269,50 @@ pub fn spec_to_value(spec: &JobSpec) -> Value {
         ("cache_frames", n(spec.cache_frames as u64)),
         ("cache_policy", s(policy_name(spec.cache_policy))),
         ("write_back", b(spec.write_back)),
-        ("io_workers", n(spec.io_workers as u64)),
-        ("prefetch_depth", n(spec.prefetch_depth as u64)),
-        ("write_behind", b(spec.write_behind)),
-        ("stripe", n(spec.stripe as u64)),
         ("parity_group", n(spec.parity_group as u64)),
         ("pretty", b(spec.pretty)),
         ("crash_after_ios", opt_num(spec.crash_after_ios)),
     ])
 }
 
+/// Whether a spec value equals a retired field's old default.
+type IsOldDefault = fn(&Value) -> bool;
+
+/// Spec fields of the removed I/O scheduler and device striping, each with
+/// the test for its old default. Manifests written before the removal
+/// carry all four at their defaults, which are still accepted.
+const RETIRED_FIELDS: [(&str, IsOldDefault); 4] = [
+    ("io_workers", |x| x.as_u64() == Some(0)),
+    ("prefetch_depth", |x| x.as_u64() == Some(0)),
+    ("write_behind", |x| x.as_bool() == Some(false)),
+    ("stripe", |x| matches!(x.as_u64(), Some(0 | 1))),
+];
+
+/// The first retired field `v` sets to anything but its old default. Such
+/// a spec asks for a configuration that no longer exists -- a striped job's
+/// blocks live in `device.bin.0..N-1`, not `device.bin` -- so it must be
+/// refused rather than run (or resumed) without it.
+pub fn retired_field(v: &Value) -> Option<&'static str> {
+    RETIRED_FIELDS
+        .iter()
+        .find(|(key, is_default)| {
+            v.get(key).is_some_and(|x| !matches!(x, Value::Null) && !is_default(x))
+        })
+        .map(|&(key, _)| key)
+}
+
 /// Parse the spec fields out of a JSON object (absent fields keep their
 /// defaults). The `input` field is handled by the caller: the protocol
 /// accepts `input` (a path) or `xml` (inline text); the manifest always
-/// uses the job-local copy.
+/// uses the job-local copy. A retired field set to a non-default value
+/// (see [`retired_field`]) is an error naming the field.
 pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
+    if let Some(key) = retired_field(v) {
+        return Err(format!(
+            "field {key:?} is retired: the I/O scheduler and device striping were removed, \
+             so only its old default is accepted"
+        ));
+    }
     let mut spec = JobSpec::default();
     let get_usize = |key: &str| -> Result<Option<usize>, String> {
         match v.get(key) {
@@ -373,18 +390,6 @@ pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
     }
     if let Some(x) = get_bool("write_back")? {
         spec.write_back = x;
-    }
-    if let Some(x) = get_usize("io_workers")? {
-        spec.io_workers = x;
-    }
-    if let Some(x) = get_usize("prefetch_depth")? {
-        spec.prefetch_depth = x;
-    }
-    if let Some(x) = get_bool("write_behind")? {
-        spec.write_behind = x;
-    }
-    if let Some(x) = get_usize("stripe")? {
-        spec.stripe = x.max(1);
     }
     if let Some(x) = get_usize("parity_group")? {
         spec.parity_group = x;
@@ -464,7 +469,9 @@ impl Manifest {
     pub fn load(job_dir: &Path) -> Result<Option<Self>, String> {
         let path = job_dir.join("job.json");
         match std::fs::read_to_string(&path) {
-            Ok(text) => Self::from_json(&text, job_dir).map(Some),
+            Ok(text) => Self::from_json(&text, job_dir)
+                .map(Some)
+                .map_err(|e| format!("manifest {path:?}: {e}")),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(format!("cannot read manifest {path:?}: {e}")),
         }
@@ -493,10 +500,6 @@ mod tests {
             cache_frames: 8,
             cache_policy: CachePolicy::Clock,
             write_back: true,
-            io_workers: 2,
-            prefetch_depth: 4,
-            write_behind: true,
-            stripe: 3,
             parity_group: 4,
             pretty: true,
             crash_after_ios: Some(77),
@@ -519,9 +522,8 @@ mod tests {
         assert_eq!(back.spec.mem_frames, 16);
         assert_eq!(back.spec.threshold, Some(512));
         assert_eq!(back.spec.depth_limit, Some(3));
-        assert!(back.spec.degeneration && back.spec.write_back && back.spec.write_behind);
+        assert!(back.spec.degeneration && back.spec.write_back);
         assert_eq!(back.spec.cache_policy, CachePolicy::Clock);
-        assert_eq!(back.spec.stripe, 3);
         assert_eq!(back.spec.parity_group, 4);
         assert_eq!(back.spec.crash_after_ios, Some(77));
         assert_eq!(back.spec.op, JobOp::TopK);
@@ -532,6 +534,49 @@ mod tests {
         match &back.spec.input {
             JobInput::Path(p) => assert_eq!(p, Path::new("/jobs/job-9/input.xml")),
             other => panic!("expected job-local input path, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_fields_are_refused_unless_at_their_old_default() {
+        // A manifest from before the scheduler's removal carries every
+        // retired field at its default: it still loads.
+        let old = r#"{"id":3,"state":"done","spec":{"block":512,"io_workers":0,
+            "prefetch_depth":0,"write_behind":false,"stripe":1},"staged":null}"#;
+        let m = Manifest::from_json(old, Path::new("/jobs/job-3")).unwrap();
+        assert_eq!(m.spec.block_size, 512);
+        // Any other value is refused with an error naming the field, on
+        // the submit path and the manifest path alike.
+        for (key, value) in [
+            ("io_workers", "2"),
+            ("prefetch_depth", "4"),
+            ("write_behind", "true"),
+            ("stripe", "3"),
+            ("stripe", "\"x\""),
+        ] {
+            let spec = json::parse(&format!(r#"{{"block":512,"{key}":{value}}}"#)).unwrap();
+            assert_eq!(retired_field(&spec), Some(key));
+            let err = spec_from_value(&spec).unwrap_err();
+            assert!(err.contains(&format!("{key:?} is retired")), "{err}");
+            let manifest = format!(
+                r#"{{"id":4,"state":"interrupted","spec":{},"staged":null}}"#,
+                spec.to_json()
+            );
+            let err = Manifest::from_json(&manifest, Path::new("/jobs/job-4")).unwrap_err();
+            assert!(err.contains(&format!("{key:?} is retired")), "{err}");
+        }
+        // A fresh manifest never writes them.
+        let text = Manifest {
+            id: 5,
+            state: JobState::Queued,
+            spec: JobSpec::default(),
+            staged: None,
+            error: None,
+            resumed: false,
+        }
+        .to_json();
+        for (key, _) in RETIRED_FIELDS {
+            assert!(!text.contains(key), "{key} in {text}");
         }
     }
 

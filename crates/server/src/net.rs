@@ -55,7 +55,7 @@ use std::time::Duration;
 use nexsort_extmem::locksan::TrackedMutex;
 use nexsort_extmem::{NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy};
 
-use crate::job::{spec_from_value, spec_to_value};
+use crate::job::{retired_field, spec_from_value, spec_to_value};
 use crate::json::{b, n, obj, parse, s, Value};
 use crate::server::{JobStatus, Server, ServerStats, SubmitError};
 
@@ -442,7 +442,14 @@ fn dispatch(server: &Server, req: &Value, opts: &ServeOptions) -> (Value, bool) 
                     Err(SubmitError::Busy(msg)) => (err_value(&msg, true), false),
                     Err(SubmitError::Invalid(msg)) => (err_value(&msg, false), false),
                 },
-                Err(e) => (err_value(&e, false), false),
+                // A retired field also rides as its own member, so a client
+                // can tell which setting to drop without parsing the text.
+                Err(e) => match req.get("spec").and_then(retired_field) {
+                    Some(key) => {
+                        (obj(vec![("ok", b(false)), ("error", s(e)), ("retired", s(key))]), false)
+                    }
+                    None => (err_value(&e, false), false),
+                },
             }
         }
         "status" => match req_id(req) {

@@ -32,7 +32,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,7 +39,7 @@ use std::time::{Duration, Instant};
 use nexsort::{Nexsort, NexsortOptions, SortReport};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
-use nexsort_extmem::{BudgetArbiter, CrashPlan, Disk, DiskBuilder, DiskStack, ExtError, Extent};
+use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskBuilder, DiskStack, ExtError, Extent};
 use nexsort_xml::{build_spec, XmlError};
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, Manifest};
@@ -368,7 +367,6 @@ impl Server {
             )));
         }
         spec.mem_frames = spec.mem_frames.max(NexsortOptions::MIN_MEM_FRAMES);
-        spec.stripe = spec.stripe.max(1);
         if spec.op == JobOp::TopK && spec.k == 0 {
             return Err(SubmitError::Invalid("top-k jobs need k >= 1".into()));
         }
@@ -853,14 +851,14 @@ fn execute(
         Err(e) => return Outcome::Failed(format!("ordering criterion: {e}")),
     };
     let device_path = job_dir.join("device.bin");
-    let mut builder = DiskBuilder::new(spec.block_size).stripe(spec.stripe);
+    let mut builder = DiskBuilder::new(spec.block_size);
     builder = if resume { builder.open_file(&device_path) } else { builder.file(&device_path) };
     if !resume && spec.crash_after_ios.is_some() {
         // Created disarmed; armed only after staging so the crash point
         // counts I/Os of the sort proper, exactly like the CLI.
         builder = builder.crash(CrashPlan::Disarmed);
     }
-    let DiskStack { disk, injectors: _injectors, crash } = match builder.build() {
+    let DiskStack { disk, crash, .. } = match builder.build() {
         Ok(stack) => stack,
         Err(e) => return Outcome::Failed(e.to_string()),
     };
@@ -904,9 +902,6 @@ fn execute(
         } else {
             nexsort_extmem::WriteMode::Through
         },
-        io_workers: spec.io_workers,
-        prefetch_depth: spec.prefetch_depth,
-        write_behind: spec.write_behind,
         checkpoint: true,
         journal_blocks: journal_blocks(spec.block_size),
         parity_group: spec.parity_group,
@@ -945,7 +940,7 @@ fn execute(
             manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
             return Outcome::Failed(msg);
         }
-        let _ = settle(&disk);
+        let _ = disk.cache_flush_all();
         manifest(JobState::Done, &staged, None, resume);
         let mut sort_report = report.sort;
         sort_report.resumed = sort_report.resumed || resume;
@@ -1004,9 +999,9 @@ fn execute(
         manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
         return Outcome::Failed(msg);
     }
-    // Settle the device image (flush write-back pages, drain write-behind)
-    // so the on-disk file is consistent once the job is marked done.
-    let _ = settle(&disk);
+    // Flush write-back pages so the on-disk image is consistent once the
+    // job is marked done.
+    let _ = disk.cache_flush_all();
     manifest(JobState::Done, &staged, None, resume);
     let mut report = doc.report.clone();
     report.resumed = report.resumed || resume;
@@ -1027,13 +1022,13 @@ fn execute_pq(
     manifest: &ManifestWriter<'_>,
 ) -> Outcome {
     let device_path = job_dir.join("device.bin");
-    let mut builder = DiskBuilder::new(spec.block_size).stripe(spec.stripe).file(&device_path);
+    let mut builder = DiskBuilder::new(spec.block_size).file(&device_path);
     if !redo && spec.crash_after_ios.is_some() {
         // The crash hook models the daemon death; a post-restart redo runs
         // the script to completion on a clean device.
         builder = builder.crash(CrashPlan::Disarmed);
     }
-    let DiskStack { disk, injectors: _injectors, crash } = match builder.build() {
+    let DiskStack { disk, crash, .. } = match builder.build() {
         Ok(stack) => stack,
         Err(e) => return Outcome::Failed(e.to_string()),
     };
@@ -1096,15 +1091,9 @@ fn execute_pq(
         manifest(JobState::Failed, &None, Some(msg.clone()), false);
         return Outcome::Failed(msg);
     }
-    let _ = settle(&disk);
+    let _ = disk.cache_flush_all();
     manifest(JobState::Done, &None, None, false);
     Outcome::Done(None)
-}
-
-fn settle(disk: &Rc<Disk>) -> Result<(), ExtError> {
-    disk.cache_flush_all()?;
-    disk.io_barrier()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1179,6 +1168,24 @@ mod tests {
         assert_eq!(m.state, JobState::Done);
         assert!(m.staged.is_some());
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_striped_job_dir_from_an_older_daemon_is_refused_at_open() {
+        // Its blocks live in device.bin.0..N-1; resuming it against
+        // device.bin would read the wrong image, so the daemon refuses.
+        let dir = std::env::temp_dir().join(format!("nxsrv-unit-str-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = dir.join("job-0");
+        std::fs::create_dir_all(&job).unwrap();
+        std::fs::write(
+            job.join("job.json"),
+            r#"{"id":0,"state":"running","spec":{"block":512,"stripe":3},"staged":null}"#,
+        )
+        .unwrap();
+        let err = Server::open(ServerConfig::new(1, &dir)).err().expect("open must refuse");
+        assert!(err.contains("job-0") && err.contains("\"stripe\" is retired"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,9 +3,8 @@
 //! The contract under test:
 //!
 //! 1. for *every* physical I/O index `N` of a small checkpointed sort --
-//!    including configurations with write-behind and striping -- crashing at
-//!    `N`, thawing, and resuming yields output byte-identical to the
-//!    uninterrupted run;
+//!    with and without a buffer pool -- crashing at `N`, thawing, and
+//!    resuming yields output byte-identical to the uninterrupted run;
 //! 2. a resume never redoes a committed merge pass: the resumed run's own
 //!    merges plus the journal-committed passes it skipped equal the
 //!    uninterrupted run's pass count, and the resume's scratch I/O never
@@ -45,26 +44,19 @@ fn flat_doc(n: usize) -> String {
     d
 }
 
-fn opts(workers: usize) -> NexsortOptions {
+fn opts(cache_frames: usize) -> NexsortOptions {
     NexsortOptions {
         mem_frames: 8,
         degeneration: true,
         checkpoint: true,
         journal_blocks: JOURNAL_BLOCKS,
-        io_workers: workers,
-        write_behind: workers > 0,
-        cache_frames: if workers > 0 { 8 } else { 0 },
-        prefetch_depth: if workers > 0 { 4 } else { 0 },
+        cache_frames,
         ..Default::default()
     }
 }
 
-fn make_disk(stripe: usize) -> (Rc<Disk>, CrashController) {
-    if stripe == 1 {
-        Disk::new_crash(Box::new(MemDevice::new(BLOCK)), CrashPlan::Disarmed)
-    } else {
-        Disk::new_striped_crash(BLOCK, stripe, CrashPlan::Disarmed)
-    }
+fn make_disk() -> (Rc<Disk>, CrashController) {
+    Disk::new_crash(Box::new(MemDevice::new(BLOCK)), CrashPlan::Disarmed)
 }
 
 fn is_simulated_crash(e: &XmlError) -> bool {
@@ -84,8 +76,8 @@ struct Baseline {
     sort_ios: u64,
 }
 
-fn baseline(stripe: usize, o: &NexsortOptions, doc: &str, spec: &SortSpec) -> Baseline {
-    let (disk, ctl) = make_disk(stripe);
+fn baseline(o: &NexsortOptions, doc: &str, spec: &SortSpec) -> Baseline {
+    let (disk, ctl) = make_disk();
     let input = stage_input(&disk, doc.as_bytes()).unwrap();
     let stage_ios = ctl.ios();
     let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
@@ -104,14 +96,13 @@ fn baseline(stripe: usize, o: &NexsortOptions, doc: &str, spec: &SortSpec) -> Ba
 /// against `base`. Returns whether the journal made the resume a real resume
 /// (as opposed to the crash landing before any journal header survived).
 fn crash_resume_check(
-    stripe: usize,
     o: &NexsortOptions,
     doc: &str,
     spec: &SortSpec,
     base: &Baseline,
     n: u64,
 ) -> bool {
-    let (disk, ctl) = make_disk(stripe);
+    let (disk, ctl) = make_disk();
     let input = stage_input(&disk, doc.as_bytes()).unwrap();
     assert_eq!(ctl.ios(), base.stage_ios, "staging must be deterministic");
     ctl.arm_after(n);
@@ -167,15 +158,15 @@ fn crash_resume_check(
     }
 }
 
-fn sweep_every_crash_point(stripe: usize, workers: usize) {
+fn sweep_every_crash_point(cache_frames: usize) {
     let doc = flat_doc(300);
-    let o = opts(workers);
+    let o = opts(cache_frames);
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(stripe, &o, &doc, &spec);
+    let base = baseline(&o, &doc, &spec);
     assert!(base.merges >= 2, "workload too small: need intermediate passes plus a final merge");
     let mut real_resumes = 0u64;
     for n in base.stage_ios..base.sort_ios {
-        if crash_resume_check(stripe, &o, &doc, &spec, &base, n) {
+        if crash_resume_check(&o, &doc, &spec, &base, n) {
             real_resumes += 1;
         }
     }
@@ -189,12 +180,12 @@ fn sweep_every_crash_point(stripe: usize, workers: usize) {
 
 #[test]
 fn crash_sweep_synchronous_single_device() {
-    sweep_every_crash_point(1, 0);
+    sweep_every_crash_point(0);
 }
 
 #[test]
-fn crash_sweep_write_behind_and_striping() {
-    sweep_every_crash_point(4, 4);
+fn crash_sweep_through_the_buffer_pool() {
+    sweep_every_crash_point(8);
 }
 
 #[test]
@@ -247,7 +238,7 @@ fn standard_mode_crash_resume_restarts_and_matches() {
         ..Default::default()
     };
     let spec = SortSpec::by_attribute("k");
-    let (disk, ctl) = make_disk(1);
+    let (disk, ctl) = make_disk();
     let input = stage_input(&disk, doc.as_bytes()).unwrap();
     let stage_ios = ctl.ios();
     let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
@@ -257,7 +248,7 @@ fn standard_mode_crash_resume_restarts_and_matches() {
     drop(sorted);
 
     for n in (stage_ios..sort_ios).step_by(5) {
-        let (disk, ctl) = make_disk(1);
+        let (disk, ctl) = make_disk();
         let input = stage_input(&disk, doc.as_bytes()).unwrap();
         ctl.arm_after(n);
         let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
@@ -279,12 +270,12 @@ fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
     // the journal replay touch blocks outside the normal read/write path,
     // and any bookkeeping slip shows up as a ShadowViolation here.
     let doc = flat_doc(300);
-    let o = opts(4);
+    let o = opts(8);
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(4, &o, &doc, &spec);
+    let base = baseline(&o, &doc, &spec);
     let mid = base.stage_ios + (base.sort_ios - base.stage_ios) / 2;
 
-    let (disk, ctl) = make_disk(4);
+    let (disk, ctl) = make_disk();
     disk.enable_shadow();
     let input = stage_input(&disk, doc.as_bytes()).unwrap();
     ctl.arm_after(mid);
@@ -360,10 +351,10 @@ fn gen_doc(height: u32, fanout: usize, seed: u64) -> String {
 fn random_doc_crash_sweep(doc: &str, stride: u64) -> Result<(), TestCaseError> {
     let o = opts(0);
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(1, &o, doc, &spec);
+    let base = baseline(&o, doc, &spec);
     let mut n = base.stage_ios;
     while n < base.sort_ios {
-        crash_resume_check(1, &o, doc, &spec, &base, n);
+        crash_resume_check(&o, doc, &spec, &base, n);
         n += stride;
     }
     Ok(())

@@ -8,8 +8,8 @@
 //!    *any single* run-store data block heals through parity reconstruction
 //!    or source re-derivation: the output is bit-identical to the
 //!    fault-free run and the sort reports `degraded`;
-//! 2. the same holds across device stacks: a plain synchronous device and
-//!    a write-behind scheduler over a 2-way stripe;
+//! 2. the same holds with a write-back buffer pool in front of the device,
+//!    which holds run data back from the device until eviction or flush;
 //! 3. at fault rate zero nothing is repaired, quarantined, or re-derived;
 //! 4. (property) any random set of hard faults within parity tolerance --
 //!    mirrored runs tolerate every data-block loss -- never changes output.
@@ -26,11 +26,10 @@ use proptest::prelude::*;
 
 use nexsort::{Nexsort, NexsortOptions, SortReport};
 use nexsort_baseline::stage_input;
-use nexsort_extmem::{Disk, FaultKind, FaultPlan, IoCat, MemDevice};
+use nexsort_extmem::{Disk, FaultKind, FaultPlan, IoCat, MemDevice, WriteMode};
 use nexsort_xml::{Rec, SortSpec};
 
 const BLOCK: usize = 128;
-const STRIPE: u64 = 2;
 
 fn doc() -> String {
     let mut d = String::from("<root>");
@@ -41,40 +40,28 @@ fn doc() -> String {
     d
 }
 
-fn opts(write_behind: bool, parity_group: usize) -> NexsortOptions {
+fn opts(write_back_pool: bool, parity_group: usize) -> NexsortOptions {
     // Degeneration merges scratch runs *during* the sort, so injected
     // faults exercise the repair path mid-sort, not only at output time.
     NexsortOptions {
         degeneration: true,
         mem_frames: 10,
         parity_group,
-        write_behind,
-        io_workers: if write_behind { 2 } else { 0 },
-        prefetch_depth: if write_behind { 4 } else { 0 },
+        cache_frames: if write_back_pool { 8 } else { 0 },
+        cache_write_mode: WriteMode::Back,
         ..Default::default()
     }
 }
 
-/// A synchronous fault-injected in-memory disk; `faults` are device block
-/// ids modelling bad sectors: every write lands silently corrupted (one
-/// bit flipped inside the written bytes), so every later read of the block
+/// A fault-injected in-memory disk; `faults` are device block ids
+/// modelling bad sectors: every write lands silently corrupted (one bit
+/// flipped inside the written bytes), so every later read of the block
 /// fails checksum verification no matter how often it is retried -- a
 /// permanent hard media fault.
-fn sync_disk(faults: &[u64]) -> Rc<Disk> {
+fn faulty_disk(faults: &[u64]) -> Rc<Disk> {
     let (disk, inj) = Disk::new_faulty(Box::new(MemDevice::new(BLOCK)), FaultPlan::new(0));
     for &b in faults {
         inj.script_block_write(b, FaultKind::BitFlip);
-    }
-    disk
-}
-
-/// A 2-way striped disk with per-device injectors; global block ids map to
-/// `(id % STRIPE, id / STRIPE)`.
-fn striped_disk(faults: &[u64]) -> Rc<Disk> {
-    let plans = (0..STRIPE).map(|_| FaultPlan::new(0)).collect();
-    let (disk, injs) = Disk::new_striped_faulty(BLOCK, plans);
-    for &b in faults {
-        injs[(b % STRIPE) as usize].script_block_write(b / STRIPE, FaultKind::BitFlip);
     }
     disk
 }
@@ -93,8 +80,8 @@ struct Outcome {
     trace: Vec<nexsort_extmem::TraceEntry>,
 }
 
-fn run(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions, faults: &[u64]) -> Outcome {
-    let disk = build(faults);
+fn run(opts: &NexsortOptions, faults: &[u64]) -> Outcome {
+    let disk = faulty_disk(faults);
     disk.enable_shadow();
     let input = stage_input(&disk, doc().as_bytes()).expect("stage input");
     disk.start_trace();
@@ -129,8 +116,8 @@ fn run(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions, faults: &[u64]
     }
 }
 
-fn sweep(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions) {
-    let clean = run(build, opts, &[]);
+fn sweep(opts: &NexsortOptions) {
+    let clean = run(opts, &[]);
     assert!(!clean.report.degraded, "fault-free run must not be degraded");
     assert_eq!(clean.report.repairs, 0, "fault-free run must repair nothing");
     assert_eq!(clean.report.quarantined_blocks, 0);
@@ -143,7 +130,7 @@ fn sweep(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions) {
     // falls back to re-deriving the run from the (intact) source. Either
     // way the output bytes must not move.
     for (i, &b) in clean.scratch.iter().enumerate() {
-        let hurt = run(build, opts, &[b]);
+        let hurt = run(opts, &[b]);
         assert_eq!(
             hurt.recs, clean.recs,
             "block index {i} (device block {b}): output changed under a permanent fault"
@@ -170,20 +157,18 @@ fn sweep(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions) {
 
 #[test]
 fn every_block_loss_heals_bit_identically_on_a_sync_device() {
-    sweep(&sync_disk, &opts(false, 2));
+    sweep(&opts(false, 2));
 }
 
 #[test]
-fn every_block_loss_heals_bit_identically_under_write_behind_striping() {
-    sweep(&striped_disk, &opts(true, 2));
+fn every_block_loss_heals_bit_identically_through_a_write_back_pool() {
+    sweep(&opts(true, 2));
 }
 
 #[test]
 fn fault_rate_zero_repairs_nothing_on_either_stack() {
-    for (build, wb) in
-        [(&sync_disk as &dyn Fn(&[u64]) -> Rc<Disk>, false), (&striped_disk as _, true)]
-    {
-        let out = run(build, &opts(wb, 4), &[]);
+    for pool in [false, true] {
+        let out = run(&opts(pool, 4), &[]);
         assert!(!out.report.degraded);
         assert_eq!(out.report.repairs, 0);
         assert_eq!(out.report.quarantined_blocks, 0);
@@ -197,7 +182,7 @@ fn fault_rate_zero_repairs_nothing_on_either_stack() {
 fn mirror_reference() -> &'static (Vec<Rec>, Vec<u64>, BTreeSet<u64>) {
     static REF: OnceLock<(Vec<Rec>, Vec<u64>, BTreeSet<u64>)> = OnceLock::new();
     REF.get_or_init(|| {
-        let clean = run(&sync_disk, &opts(false, 1), &[]);
+        let clean = run(&opts(false, 1), &[]);
         (clean.recs, clean.scratch, clean.read_back)
     })
 }
@@ -219,7 +204,7 @@ proptest! {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let hurt = run(&sync_disk, &opts(false, 1), &faults);
+        let hurt = run(&opts(false, 1), &faults);
         prop_assert!(&hurt.recs == clean_recs, "faults at {faults:?} changed the output");
         if faults.iter().any(|b| read_back.contains(b)) {
             prop_assert!(hurt.report.degraded, "in-sort losses at {:?} must degrade", faults);

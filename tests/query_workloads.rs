@@ -2,7 +2,7 @@
 //! exercised end to end, in process and through the sort daemon.
 //!
 //! 1. **Top-k = sort | head -k**: on every tested device stack (bare,
-//!    striped, write-back cache, parity-protected), the top-k operator's
+//!    write-back cache, parity-protected), the top-k operator's
 //!    records are byte-identical to the first k records of a full sort of
 //!    the same document -- while doing strictly less logical I/O at small k.
 //! 2. **Pq = ordered map**: an interleaved push/pop/peek script against the
@@ -56,18 +56,17 @@ fn flat_doc(n: usize, seed: u64) -> Vec<u8> {
     doc.into_bytes()
 }
 
-/// The device stacks the acceptance criteria call out: bare, striped,
-/// write-back cached, and combinations; parity rides in via the operator
-/// options where noted.
+/// The device stacks the acceptance criteria call out: bare, write-back
+/// cached, and the combination; parity rides in via the operator options
+/// where noted.
 fn stacks() -> Vec<(&'static str, DiskBuilder, usize)> {
     vec![
         ("bare", DiskBuilder::new(BLOCK), 0),
-        ("striped", DiskBuilder::new(BLOCK).stripe(3), 0),
         ("write-back", DiskBuilder::new(BLOCK).cache(8, CachePolicy::Clock, WriteMode::Back), 0),
         ("parity", DiskBuilder::new(BLOCK), 2),
         (
-            "striped+write-back+parity",
-            DiskBuilder::new(BLOCK).stripe(3).cache(8, CachePolicy::Lru, WriteMode::Back),
+            "write-back+parity",
+            DiskBuilder::new(BLOCK).cache(8, CachePolicy::Lru, WriteMode::Back),
             2,
         ),
     ]

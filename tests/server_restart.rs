@@ -1,8 +1,8 @@
 //! The sort daemon's two headline promises (ISSUE PR 7):
 //!
 //! 1. **Concurrency without drift**: jobs running concurrently on real
-//!    worker threads under one arbitrated memory budget -- across cache,
-//!    striping, parity, and scheduler configurations -- produce output
+//!    worker threads under one arbitrated memory budget -- across cache
+//!    and parity configurations -- produce output
 //!    byte-identical to a one-shot in-process sort of the same document.
 //! 2. **Kill-9 restart**: a daemon that dies mid-flight (modeled by the
 //!    per-job crash hook freezing each job's device, the in-process
@@ -57,7 +57,7 @@ fn flat_doc(n: usize, seed: u64) -> Vec<u8> {
 
 /// The ground truth: a one-shot, in-memory, single-threaded sort with the
 /// same ordering criterion and memory geometry. Sorted bytes must not
-/// depend on cache/stripe/parity/scheduler choices, so the baseline uses
+/// depend on cache/parity choices, so the baseline uses
 /// none of them.
 fn one_shot(xml: &[u8], spec: &JobSpec) -> (Vec<u8>, SortReport) {
     let stack = DiskBuilder::new(spec.block_size).build().unwrap();
@@ -96,11 +96,10 @@ fn mixed_specs(crashes: Option<&[u64]>) -> Vec<JobSpec> {
             write_back: true,
             ..base.clone()
         },
-        // Three-way striped device file set.
+        // Bare device, descending string key.
         JobSpec {
             input: JobInput::Inline(flat_doc(320, 3)),
             default_rule: Some("@k:desc".into()),
-            stripe: 3,
             ..base.clone()
         },
         // Parity-protected runs (self-healing storage).
@@ -110,14 +109,11 @@ fn mixed_specs(crashes: Option<&[u64]>) -> Vec<JobSpec> {
             parity_group: 2,
             ..base.clone()
         },
-        // Asynchronous I/O scheduler with read-ahead and write-behind.
+        // Write-through page cache with LRU eviction.
         JobSpec {
             input: JobInput::Inline(flat_doc(280, 5)),
             default_rule: Some("@k".into()),
-            io_workers: 2,
-            prefetch_depth: 4,
             cache_frames: 8,
-            write_behind: true,
             ..base.clone()
         },
     ];
