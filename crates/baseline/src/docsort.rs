@@ -9,8 +9,8 @@
 
 use std::rc::Rc;
 
-use nexsort_extmem::{Disk, Extent, ExtentWriter, IoCat, MemoryBudget, RunId, RunStore};
-use nexsort_xml::{Event, Rec, RecEmitter, Result, SortSpec, TagDict};
+use nexsort_extmem::{Disk, Extent, ExtentWriter, IoCat, MemoryBudget, RunId, RunReader, RunStore};
+use nexsort_xml::{Event, Rec, RecDecoder, Result, SortSpec, TagDict};
 
 use crate::extsort::{external_merge_sort, ExtSortOptions, ExtSortReport};
 use crate::resolve::resolve_deferred;
@@ -49,25 +49,31 @@ impl BaselineSorted {
     /// Decode the sorted document into records (uses a 2-frame budget of its
     /// own; reading the output is not part of the sort's cost).
     pub fn to_recs(&self) -> Result<Vec<Rec>> {
-        let budget = MemoryBudget::new(2);
-        crate::extsort::run_to_recs(&self.store, &budget, self.run, IoCat::RunRead)
+        self.cursor()?.collect_recs()
     }
 
     /// Reconstruct the sorted document as events (end tags regenerated).
     pub fn to_events(&self) -> Result<Vec<Event>> {
-        let recs = self.to_recs()?;
-        let mut em = RecEmitter::new(&self.dict);
-        let mut out = Vec::new();
-        for r in &recs {
-            em.push_rec(r, &mut out)?;
-        }
-        em.finish(&mut out);
-        Ok(out)
+        nexsort_xml::recs_to_events(&self.to_recs()?, &self.dict)
     }
 
-    /// Serialize the sorted document to XML text.
+    /// Stream the sorted records (through a 2-frame reader of its own).
+    pub fn cursor(&self) -> Result<RecDecoder<RunReader>> {
+        Ok(RecDecoder::new(self.store.open(self.run, &MemoryBudget::new(2), IoCat::RunRead)?))
+    }
+
+    /// Serialize the sorted document to XML text in memory (convenience
+    /// over [`write_xml`](crate::write_xml)).
     pub fn to_xml(&self, pretty: bool) -> Result<Vec<u8>> {
-        Ok(nexsort_xml::events_to_xml(&self.to_events()?, pretty))
+        let mut out = Vec::new();
+        crate::source::write_xml(
+            self.store.disk(),
+            &mut self.cursor()?,
+            &self.dict,
+            &mut out,
+            pretty,
+        )?;
+        Ok(out)
     }
 }
 

@@ -22,7 +22,7 @@ use nexsort_extmem::{
 };
 use nexsort_xml::{PathedRec, Rec, Result, XmlError};
 
-use crate::source::PathedSource;
+use crate::source::{PathedSource, RecSource};
 
 /// Options for one external merge sort.
 #[derive(Debug, Clone)]
@@ -231,13 +231,7 @@ pub fn run_to_recs(
     run: RunId,
     cat: IoCat,
 ) -> Result<Vec<Rec>> {
-    let reader = store.open(run, budget, cat)?;
-    let mut dec = nexsort_xml::RecDecoder::new(reader);
-    let mut out = Vec::new();
-    while let Some(r) = dec.next_rec()? {
-        out.push(r);
-    }
-    Ok(out)
+    nexsort_xml::RecDecoder::new(store.open(run, budget, cat)?).collect_recs()
 }
 
 #[cfg(test)]

@@ -1,17 +1,22 @@
 //! The `xsort` application: argument handling and command execution.
 
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
-use nexsort_baseline::{sort_xml_extent, stage_input, BaselineOptions};
+use nexsort_baseline::{
+    sort_xml_extent, stage_reader, write_output_file, write_xml, BaselineOptions, RecSource,
+    VecRecSource,
+};
 use nexsort_extmem::{
     recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, JournalRecord, RetryPolicy, RunId, RunStore, ScrubReport,
-    WriteMode,
+    FaultInjector, FaultPlan, IoCat, IoSink, JournalRecord, RetryPolicy, RunId, RunStore,
+    ScrubReport, WriteMode,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
-use nexsort_xml::SortSpec;
+use nexsort_xml::{Rec, SortSpec, TagDict};
 
 use crate::specarg::{build_spec, parse_size};
 
@@ -378,6 +383,11 @@ EXAMPLES:
   xsort update master.xml batch.xml --default @sku:num --stats
 ";
 
+/// Parse a flag's numeric `value`; the error says the flag needs `what`.
+fn num<T: std::str::FromStr>(value: String, flag: &str, what: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} needs {what}"))
+}
+
 /// Parse `args` (without the leading program name).
 pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter().peekable();
@@ -452,11 +462,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--mem" => mem_bytes = parse_size(&next_value(&mut it, arg)?)?,
             "--threshold" => threshold = Some(parse_size(&next_value(&mut it, arg)?)?),
             "--depth" => {
-                depth_limit = Some(
-                    next_value(&mut it, arg)?
-                        .parse::<u32>()
-                        .map_err(|_| "--depth needs a positive integer".to_string())?,
-                )
+                depth_limit = Some(num(next_value(&mut it, arg)?, arg, "a positive integer")?)
             }
             "--algo" => {
                 algo = match next_value(&mut it, arg)?.as_str() {
@@ -466,11 +472,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                     other => return Err(format!("unknown algorithm {other:?}")),
                 }
             }
-            "--seed" => {
-                seed = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--seed needs an integer".to_string())?
-            }
+            "--seed" => seed = num(next_value(&mut it, arg)?, arg, "an integer")?,
             "--default" => default_rule = Some(next_value(&mut it, arg)?),
             "--key" => keys.push(next_value(&mut it, arg)?),
             "--format" => {
@@ -483,90 +485,55 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--fault-rate" => fault_rate = parse_rate(next_value(&mut it, arg)?, arg)?,
             "--fault-flips" => fault_flips = parse_rate(next_value(&mut it, arg)?, arg)?,
             "--fault-torn" => fault_torn = parse_rate(next_value(&mut it, arg)?, arg)?,
-            "--fault-seed" => {
-                fault_seed = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--fault-seed needs an integer".to_string())?
-            }
+            "--fault-seed" => fault_seed = num(next_value(&mut it, arg)?, arg, "an integer")?,
             "--retries" => {
-                retries = Some(
-                    next_value(&mut it, arg)?
-                        .parse::<u32>()
-                        .map_err(|_| "--retries needs a nonnegative integer".to_string())?,
-                )
+                retries = Some(num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?)
             }
             "--cache-frames" => {
-                cache_frames = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--cache-frames needs a nonnegative integer".to_string())?
+                cache_frames = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--cache-policy" => cache_policy = next_value(&mut it, arg)?.parse()?,
             "--write-back" => write_back = true,
             "--checkpoint" => checkpoint = true,
             "--resume" => resume = true,
             "--parity-group" => {
-                parity_group = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--parity-group needs a nonnegative integer".to_string())?
+                parity_group = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--corrupt" => {
-                corrupt = Some(
-                    next_value(&mut it, arg)?
-                        .parse::<usize>()
-                        .map_err(|_| "--corrupt needs a nonnegative block index".to_string())?,
-                )
+                corrupt = Some(num(next_value(&mut it, arg)?, arg, "a nonnegative block index")?)
             }
             "--crash-after-ios" => {
-                crash_after_ios = Some(
-                    next_value(&mut it, arg)?
-                        .parse::<u64>()
-                        .map_err(|_| "--crash-after-ios needs a nonnegative integer".to_string())?,
-                )
+                crash_after_ios =
+                    Some(num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?)
             }
-            "--crash-seed" => {
-                crash_seed = Some(
-                    next_value(&mut it, arg)?
-                        .parse::<u64>()
-                        .map_err(|_| "--crash-seed needs an integer".to_string())?,
-                )
-            }
+            "--crash-seed" => crash_seed = Some(num(next_value(&mut it, arg)?, arg, "an integer")?),
             "--listen" => listen = Some(next_value(&mut it, arg)?),
             "--connect" => connect = Some(next_value(&mut it, arg)?),
             "--workers" => {
-                workers = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--workers needs a positive integer".to_string())?;
+                workers = num(next_value(&mut it, arg)?, arg, "a positive integer")?;
                 if workers == 0 {
                     return Err("--workers must be at least 1".into());
                 }
             }
             "--queue" => {
-                queue = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--queue needs a positive integer".to_string())?;
+                queue = num(next_value(&mut it, arg)?, arg, "a positive integer")?;
                 if queue == 0 {
                     return Err("--queue must be at least 1".into());
                 }
             }
             "--budget-frames" => {
-                budget_frames = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--budget-frames needs a positive integer".to_string())?
+                budget_frames = num(next_value(&mut it, arg)?, arg, "a positive integer")?
             }
             "--job-dir" => job_dir = Some(PathBuf::from(next_value(&mut it, arg)?)),
             "-k" | "--limit" => {
-                k = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "-k/--limit needs a positive integer".to_string())?;
+                k = num(next_value(&mut it, arg)?, "-k/--limit", "a positive integer")?;
                 if k == 0 {
                     return Err("-k/--limit must be at least 1".into());
                 }
             }
             "--tenant" => tenant = Some(next_value(&mut it, arg)?),
             "--tenant-cap" => {
-                tenant_cap = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--tenant-cap needs a nonnegative integer".to_string())?
+                tenant_cap = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--op" => {
                 let op = next_value(&mut it, arg)?;
@@ -576,48 +543,28 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 client_op = Some(op);
             }
             "--timeout-ms" => {
-                timeout_ms = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--timeout-ms needs a nonnegative integer".to_string())?
+                timeout_ms = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--request-timeout-ms" => {
-                request_timeout_ms = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--request-timeout-ms needs a nonnegative integer".to_string())?
+                request_timeout_ms = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--idle-timeout-ms" => {
-                idle_timeout_ms = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--idle-timeout-ms needs a nonnegative integer".to_string())?
+                idle_timeout_ms = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--drain-timeout-ms" => {
-                drain_timeout_ms = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--drain-timeout-ms needs a nonnegative integer".to_string())?
+                drain_timeout_ms = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
             "--max-line-bytes" => {
-                max_line_bytes = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--max-line-bytes needs a positive integer".to_string())?;
+                max_line_bytes = num(next_value(&mut it, arg)?, arg, "a positive integer")?;
                 if max_line_bytes == 0 {
                     return Err("--max-line-bytes must be at least 1".into());
                 }
             }
-            "--retry" => {
-                retry = next_value(&mut it, arg)?
-                    .parse::<u32>()
-                    .map_err(|_| "--retry needs a nonnegative integer".to_string())?
-            }
+            "--retry" => retry = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?,
             "--retry-base-ms" => {
-                retry_base_ms = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--retry-base-ms needs a nonnegative integer".to_string())?
+                retry_base_ms = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
-            "--retry-seed" => {
-                retry_seed = next_value(&mut it, arg)?
-                    .parse::<u64>()
-                    .map_err(|_| "--retry-seed needs an integer".to_string())?
-            }
+            "--retry-seed" => retry_seed = num(next_value(&mut it, arg)?, arg, "an integer")?,
             "--idem" => idem = Some(next_value(&mut it, arg)?),
             "--drain" => drain = true,
             "--pretty" => pretty = true,
@@ -794,13 +741,6 @@ fn mem_frames(cli: &Cli) -> usize {
     ((cli.mem_bytes / cli.block_size).max(NexsortOptions::MIN_MEM_FRAMES as u64)) as usize
 }
 
-/// Journal extent size for `--checkpoint`: the default 32 blocks, clamped so
-/// the header (28 bytes of magic/count/crc plus 8 per block id) still
-/// self-describes the extent within a single block of `block_size`.
-fn journal_blocks(block_size: usize) -> usize {
-    32usize.min(((block_size.saturating_sub(28)) / 8).max(2))
-}
-
 /// The crash point (in sort I/Os) requested on the command line: exactly
 /// `--crash-after-ios N`, or a seed-scrambled point in `0..N` when
 /// `--crash-seed` is also given.
@@ -875,22 +815,51 @@ enum Staged {
     Recs(Extent, nexsort_xml::TagDict),
 }
 
-/// Read a document; `.xrec` inputs (detected by magic) skip XML parsing, but
-/// their keys are re-extracted under the current criterion so `--key`
-/// arguments always apply.
+/// Decode an `.xrec` document and re-extract its keys under the current
+/// criterion, so `--key` arguments always apply.
+fn rekey_xrec(cli: &Cli, bytes: &[u8]) -> Result<(TagDict, Vec<Rec>), String> {
+    let mut src = nexsort_extmem::SliceReader::new(bytes);
+    let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
+    let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
+    let mut new_dict = TagDict::new();
+    let rekeyed =
+        nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true).map_err(xml_err)?;
+    Ok((new_dict, rekeyed))
+}
+
+/// Stage a document straight from its file, one block at a time. `.xrec`
+/// inputs (detected by their first bytes) skip XML parsing and are decoded
+/// in memory, their keys re-extracted by [`rekey_xrec`].
 fn load(cli: &Cli, disk: &Rc<Disk>, path: &Path) -> Result<Staged, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    if nexsort_xml::is_xrec(&bytes) {
-        let mut src = nexsort_extmem::SliceReader::new(&bytes);
-        let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
-        let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
-        let mut new_dict = nexsort_xml::TagDict::new();
-        let rekeyed = nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
-            .map_err(xml_err)?;
-        let ext = nexsort_baseline::stage_recs(disk, &rekeyed).map_err(xml_err)?;
-        Ok(Staged::Recs(ext, new_dict))
+    let read_err = |e: std::io::Error| format!("cannot read {path:?}: {e}");
+    let mut file = File::open(path).map_err(read_err)?;
+    // `take` keeps reading (a pipe, say) until it has the first bytes.
+    let mut head = Vec::new();
+    (&mut file).take(8).read_to_end(&mut head).map_err(read_err)?;
+    if nexsort_xml::is_xrec(&head) {
+        file.read_to_end(&mut head).map_err(read_err)?;
+        let (dict, recs) = rekey_xrec(cli, &head)?;
+        Ok(Staged::Recs(nexsort_baseline::stage_recs(disk, &recs).map_err(xml_err)?, dict))
     } else {
-        Ok(Staged::Xml(stage_input(disk, &bytes).map_err(|e| e.to_string())?))
+        let input = head.as_slice().chain(file);
+        Ok(Staged::Xml(stage_reader(disk, input).map_err(|e| e.to_string())?))
+    }
+}
+
+/// The NEXSORT options every sorting command derives from its flags.
+fn nexsort_options(cli: &Cli) -> NexsortOptions {
+    NexsortOptions {
+        mem_frames: mem_frames(cli),
+        threshold: cli.threshold,
+        depth_limit: cli.depth_limit,
+        degeneration: cli.algo == Algo::Degen,
+        cache_frames: cli.cache_frames,
+        cache_policy: cli.cache_policy,
+        cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
+        checkpoint: cli.checkpoint,
+        journal_blocks: nexsort_server::server::journal_blocks(cli.block_size as usize),
+        parity_group: cli.parity_group,
+        ..Default::default()
     }
 }
 
@@ -900,20 +869,8 @@ fn sort_one(
     input: &Staged,
     crash: Option<&CrashController>,
 ) -> Result<SortedDoc, CliError> {
-    let opts = NexsortOptions {
-        mem_frames: mem_frames(cli),
-        threshold: cli.threshold,
-        depth_limit: cli.depth_limit,
-        degeneration: cli.algo == Algo::Degen,
-        cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
-        cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
-        checkpoint: cli.checkpoint,
-        journal_blocks: journal_blocks(cli.block_size as usize),
-        parity_group: cli.parity_group,
-        ..Default::default()
-    };
-    let sorter = Nexsort::new(disk.clone(), opts, cli.spec.clone()).map_err(|e| e.to_string())?;
+    let sorter = Nexsort::new(disk.clone(), nexsort_options(cli), cli.spec.clone())
+        .map_err(|e| e.to_string())?;
     if let (Some(ctl), Some(offset)) = (crash, crash_offset(cli)) {
         // Counted from here, so staging I/O doesn't shift the crash point.
         ctl.arm_after(ctl.ios() + offset);
@@ -961,9 +918,7 @@ fn sort_one(
     if cli.stats {
         eprintln!("sort: {}", doc.report.summary());
         eprintln!("{}", doc.report.io);
-        if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
-            eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
-        }
+        print_cache(disk);
         let retried = doc.report.io.total_retries();
         if retried > 0 {
             eprintln!("sort: {retried} transfer(s) healed by retry");
@@ -978,6 +933,13 @@ fn sort_one(
     Ok(doc)
 }
 
+/// The `--stats` line describing the buffer pool, if one is configured.
+fn print_cache(disk: &Disk) {
+    if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
+        eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
+    }
+}
+
 /// Run the top-k operator over a staged XML extent, with the same
 /// crash/resume choreography as [`sort_one`].
 fn topk_one(
@@ -986,21 +948,9 @@ fn topk_one(
     input: &Extent,
     crash: Option<&CrashController>,
 ) -> Result<nexsort_query::TopKDoc, CliError> {
-    let opts = NexsortOptions {
-        mem_frames: mem_frames(cli),
-        threshold: cli.threshold,
-        depth_limit: cli.depth_limit,
-        degeneration: cli.algo == Algo::Degen,
-        cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
-        cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
-        checkpoint: cli.checkpoint,
-        journal_blocks: journal_blocks(cli.block_size as usize),
-        parity_group: cli.parity_group,
-        ..Default::default()
-    };
-    let topk = nexsort_query::TopK::new(disk.clone(), opts, cli.spec.clone(), cli.k)
-        .map_err(|e| e.to_string())?;
+    let topk =
+        nexsort_query::TopK::new(disk.clone(), nexsort_options(cli), cli.spec.clone(), cli.k)
+            .map_err(|e| e.to_string())?;
     if let (Some(ctl), Some(offset)) = (crash, crash_offset(cli)) {
         ctl.arm_after(ctl.ios() + offset);
     }
@@ -1030,56 +980,44 @@ fn topk_one(
     Ok(doc)
 }
 
-/// Execute a priority-queue script (`push KEY` | `pop` | `peek`, one
-/// operation per line, `#` comments) and return the result transcript:
-/// one line per pop/peek plus a final `len N`.
-fn run_pq_script(cli: &Cli, disk: &Rc<Disk>, script: &str) -> Result<String, CliError> {
-    let mut pq = nexsort_query::ExtPq::new(disk.clone(), mem_frames(cli), cli.parity_group)
-        .map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    for (ln, raw) in script.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+/// Stream a command's output to `-o FILE` or to stdout. A file appears
+/// only once `fill` succeeds (see [`write_output_file`]); stdout is written
+/// through a locked buffer as `fill` goes, so a failure part-way through
+/// leaves a partial document there.
+fn write_out(
+    cli: &Cli,
+    fill: impl FnOnce(&mut dyn Write) -> Result<(), String>,
+) -> Result<(), String> {
+    match &cli.output {
+        Some(path) => write_output_file(path, |w| fill(w))
+            .map_err(|e| format!("cannot write {path:?}: {e}"))?,
+        None => {
+            let mut w = BufWriter::new(std::io::stdout().lock());
+            fill(&mut w)?;
+            w.flush().map_err(|e| e.to_string())
         }
-        let step = if let Some(key) = line.strip_prefix("push ") {
-            pq.push(key.as_bytes())
-        } else if line == "pop" {
-            pq.pop().map(|popped| match popped {
-                Some(k) => out.push_str(&format!("pop {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("pop -\n"),
-            })
-        } else if line == "peek" {
-            pq.peek().map(|head| match head {
-                Some(k) => out.push_str(&format!("peek {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("peek -\n"),
-            })
-        } else {
-            return Err(format!(
-                "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {line:?}",
-                ln + 1
-            )
-            .into());
-        };
-        step.map_err(|e| format!("pq script line {}: {e}", ln + 1))?;
     }
-    out.push_str(&format!("len {}\n", pq.len()));
-    if cli.stats {
-        let s = &pq.stats;
-        eprintln!(
-            "pq: pushes={} pops={} runs_sealed={} restructures={} tombstones_dropped={}",
-            s.pushes, s.pops, s.runs_sealed, s.restructures, s.tombstones_dropped
-        );
-    }
-    Ok(out)
 }
 
-fn emit(cli: &Cli, xml: Vec<u8>) -> Result<(), String> {
-    match &cli.output {
-        Some(path) => std::fs::write(path, xml).map_err(|e| format!("cannot write {path:?}: {e}")),
-        None => {
-            use std::io::Write;
-            std::io::stdout().write_all(&xml).map_err(|e| e.to_string())
+/// Write a sorted document -- the record stream `src` over `dict` -- in the
+/// `--format` the command line asks for.
+fn render(
+    cli: &Cli,
+    disk: &Rc<Disk>,
+    src: &mut dyn RecSource,
+    dict: &TagDict,
+    w: &mut dyn Write,
+) -> Result<(), String> {
+    match cli.format {
+        OutFormat::Xml => write_xml(disk, src, dict, w, cli.pretty).map(drop).map_err(xml_err),
+        OutFormat::Xrec => {
+            // The container prefixes the record body with its length, so
+            // it is assembled in memory.
+            let recs = src.collect_recs().map_err(xml_err)?;
+            let mut buf = Vec::new();
+            nexsort_xml::write_xrec(&mut buf, dict, &recs, nexsort_xml::FLAG_KEYS_FINAL)
+                .map_err(xml_err)?;
+            w.write_all(&buf).map_err(|e| e.to_string())
         }
     }
 }
@@ -1264,13 +1202,8 @@ fn run_client(cli: &Cli) -> Result<(), CliError> {
         // verb): arbitrarily large results never need one giant response.
         let output = nexsort_server::request_fetch_chunked(connect, job_id(args)?, 64 * 1024)
             .map_err(CliError::from)?;
-        match &cli.output {
-            Some(path) => {
-                std::fs::write(path, &output).map_err(|e| format!("cannot write {path:?}: {e}"))?
-            }
-            None => print!("{output}"),
-        }
-        return Ok(());
+        return write_out(cli, |w| w.write_all(output.as_bytes()).map_err(|e| e.to_string()))
+            .map_err(CliError::from);
     }
     let req = match verb.as_str() {
         "shutdown" if drain => {
@@ -1339,7 +1272,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
     let result: Result<(), CliError> = match &cli.command {
         Command::Sort { input } => {
             let staged = load(cli, &disk, input)?;
-            let out = if cli.algo == Algo::Mergesort {
+            if cli.algo == Algo::Mergesort {
                 let opts = BaselineOptions {
                     mem_frames: mem_frames(cli),
                     compaction: true,
@@ -1362,105 +1295,86 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                         sorted.report.passes, sorted.report.initial_runs, sorted.report.fan_in
                     );
                     eprintln!("{}", disk.stats().snapshot());
-                    if let (Some(policy), Some(mode)) =
-                        (disk.cache_policy_name(), disk.cache_mode())
-                    {
-                        eprintln!(
-                            "cache: {} frames, {policy}, {mode}",
-                            disk.cache_capacity().unwrap_or(0)
-                        );
-                    }
+                    print_cache(&disk);
                 }
-                match cli.format {
-                    OutFormat::Xml => sorted.to_xml(cli.pretty).map_err(|e| e.to_string())?,
-                    OutFormat::Xrec => {
-                        let recs = sorted.to_recs().map_err(|e| e.to_string())?;
-                        let mut buf = Vec::new();
-                        nexsort_xml::write_xrec(
-                            &mut buf,
-                            &sorted.dict,
-                            &recs,
-                            nexsort_xml::FLAG_KEYS_FINAL,
-                        )
-                        .map_err(xml_err)?;
-                        buf
-                    }
-                }
+                write_out(cli, |w| {
+                    let mut src = sorted.cursor().map_err(xml_err)?;
+                    render(cli, &disk, &mut src, &sorted.dict, w)
+                })
             } else {
                 let doc = sort_one(cli, &disk, &staged, crash.as_ref())?;
-                match cli.format {
-                    OutFormat::Xml => doc.to_xml(cli.pretty).map_err(|e| e.to_string())?,
-                    OutFormat::Xrec => {
-                        let recs = doc.to_recs().map_err(|e| e.to_string())?;
-                        let mut buf = Vec::new();
-                        nexsort_xml::write_xrec(
-                            &mut buf,
-                            &doc.dict,
-                            &recs,
-                            nexsort_xml::FLAG_KEYS_FINAL,
-                        )
-                        .map_err(xml_err)?;
-                        buf
-                    }
-                }
-            };
-            emit(cli, out).map_err(CliError::from)
+                write_out(cli, |w| {
+                    render(cli, &disk, &mut doc.cursor().map_err(xml_err)?, &doc.dict, w)
+                })
+            }
+            .map_err(CliError::from)
         }
         Command::TopK { input } => {
-            let staged = load(cli, &disk, input)?;
-            let out = match &staged {
-                Staged::Xml(ext) => {
-                    let doc = topk_one(cli, &disk, ext, crash.as_ref())?;
-                    match cli.format {
-                        OutFormat::Xml => doc.to_text().map_err(|e| e.to_string())?.into_bytes(),
-                        OutFormat::Xrec => doc.encoded().map_err(|e| e.to_string())?,
-                    }
-                }
-                Staged::Recs(..) => {
-                    return Err("topk reads XML input (render the xrec back to XML first)"
-                        .to_string()
-                        .into())
-                }
+            let Staged::Xml(ext) = load(cli, &disk, input)? else {
+                return Err("topk reads XML input (render the xrec back to XML first)"
+                    .to_string()
+                    .into());
             };
-            emit(cli, out).map_err(CliError::from)
+            let doc = topk_one(cli, &disk, &ext, crash.as_ref())?;
+            write_out(cli, |w| match cli.format {
+                OutFormat::Xml => doc.write_text(w).map_err(xml_err),
+                OutFormat::Xrec => {
+                    w.write_all(&doc.encoded().map_err(xml_err)?).map_err(|e| e.to_string())
+                }
+            })
+            .map_err(CliError::from)
         }
         Command::Pq { script } => {
             let text = std::fs::read_to_string(script)
                 .map_err(|e| format!("cannot read {script:?}: {e}"))?;
-            let out = run_pq_script(cli, &disk, &text)?;
-            emit(cli, out.into_bytes()).map_err(CliError::from)
-        }
-        Command::Merge { left, right } => {
-            let a = sort_one(cli, &disk, &load(cli, &disk, left)?, crash.as_ref())?;
-            let b = sort_one(cli, &disk, &load(cli, &disk, right)?, crash.as_ref())?;
-            let merge = StructuralMerge::new(&a.dict, &b.dict, MergeOptions::default());
-            let mut ca = a.cursor().map_err(|e| e.to_string())?;
-            let mut cb = b.cursor().map_err(|e| e.to_string())?;
-            let mut out = Vec::new();
-            let (dict, stats) = merge
-                .run(&mut ca, &mut cb, &mut |r| {
-                    out.push(r);
-                    Ok(())
-                })
-                .map_err(|e| e.to_string())?;
+            let mut pq = nexsort_query::ExtPq::new(disk.clone(), mem_frames(cli), cli.parity_group)
+                .map_err(xml_err)?;
+            let out = nexsort_query::run_script(&mut pq, &text).map_err(|e| e.to_string())?;
             if cli.stats {
-                eprintln!("merge: {stats:?}");
+                let s = &pq.stats;
+                eprintln!(
+                    "pq: pushes={} pops={} runs_sealed={} restructures={} tombstones_dropped={}",
+                    s.pushes, s.pops, s.runs_sealed, s.restructures, s.tombstones_dropped
+                );
             }
-            let events = nexsort_xml::recs_to_events(&out, &dict).map_err(|e| e.to_string())?;
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.pretty)).map_err(CliError::from)
+            write_out(cli, |w| w.write_all(out.as_bytes()).map_err(|e| e.to_string()))
+                .map_err(CliError::from)
+        }
+        Command::Merge { left: a, right: b } | Command::Update { base: a, updates: b } => {
+            let a = sort_one(cli, &disk, &load(cli, &disk, a)?, crash.as_ref())?;
+            let b = sort_one(cli, &disk, &load(cli, &disk, b)?, crash.as_ref())?;
+            let mut ca = a.cursor().map_err(xml_err)?;
+            let mut cb = b.cursor().map_err(xml_err)?;
+            let mut out = Vec::new();
+            let mut push = |r| {
+                out.push(r);
+                Ok(())
+            };
+            let opts = MergeOptions::default();
+            let (dict, stats) = if matches!(cli.command, Command::Merge { .. }) {
+                let merge = StructuralMerge::new(&a.dict, &b.dict, opts);
+                merge.run(&mut ca, &mut cb, &mut push).map(|(d, s)| (d, format!("merge: {s:?}")))
+            } else {
+                let apply = BatchUpdate::new(&a.dict, &b.dict, opts);
+                apply.run(&mut ca, &mut cb, &mut push).map(|(d, s)| (d, format!("update: {s:?}")))
+            }
+            .map_err(xml_err)?;
+            if cli.stats {
+                eprintln!("{stats}");
+            }
+            write_out(cli, |w| {
+                let mut src = VecRecSource::new(out);
+                write_xml(&disk, &mut src, &dict, w, cli.pretty).map(drop).map_err(xml_err)
+            })
+            .map_err(CliError::from)
         }
         Command::Check { input } => {
             let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
             let recs = if nexsort_xml::is_xrec(&bytes) {
-                let mut src = nexsort_extmem::SliceReader::new(&bytes);
-                let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
-                let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
-                let mut new_dict = nexsort_xml::TagDict::new();
-                nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
-                    .map_err(xml_err)?
+                rekey_xrec(cli, &bytes)?.1
             } else {
                 let events = nexsort_xml::parse_events(&bytes).map_err(xml_err)?;
-                let mut dict = nexsort_xml::TagDict::new();
+                let mut dict = TagDict::new();
                 nexsort_xml::events_to_recs(&events, &cli.spec, &mut dict, true).map_err(xml_err)?
             };
             let recs = nexsort_xml::apply_patches(recs).map_err(xml_err)?;
@@ -1529,30 +1443,14 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 )
                 .into());
             };
-            let mut events = Vec::new();
-            while let Some(ev) = gen.next_event().map_err(xml_err)? {
-                events.push(ev);
-            }
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.pretty)).map_err(CliError::from)
-        }
-        Command::Update { base, updates } => {
-            let b = sort_one(cli, &disk, &load(cli, &disk, base)?, crash.as_ref())?;
-            let u = sort_one(cli, &disk, &load(cli, &disk, updates)?, crash.as_ref())?;
-            let apply = BatchUpdate::new(&b.dict, &u.dict, MergeOptions::default());
-            let mut cb = b.cursor().map_err(|e| e.to_string())?;
-            let mut cu = u.cursor().map_err(|e| e.to_string())?;
-            let mut out = Vec::new();
-            let (dict, stats) = apply
-                .run(&mut cb, &mut cu, &mut |r| {
-                    out.push(r);
-                    Ok(())
-                })
-                .map_err(|e| e.to_string())?;
-            if cli.stats {
-                eprintln!("update: {stats:?}");
-            }
-            let events = nexsort_xml::recs_to_events(&out, &dict).map_err(|e| e.to_string())?;
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.pretty)).map_err(CliError::from)
+            write_out(cli, |w| {
+                let mut xml = nexsort_xml::XmlWriter::new(IoSink(w)).pretty(cli.pretty);
+                while let Some(ev) = gen.next_event().map_err(xml_err)? {
+                    xml.write(&ev).map_err(xml_err)?;
+                }
+                Ok(())
+            })
+            .map_err(CliError::from)
         }
         Command::Scrub { .. } | Command::Serve { .. } | Command::Client { .. } => {
             unreachable!("scrub/serve/client are handled before device setup")

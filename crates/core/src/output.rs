@@ -116,30 +116,29 @@ impl SortedDoc {
 
     /// Collect the sorted document's records in memory (tests/inspection).
     pub fn to_recs(&self) -> Result<Vec<Rec>> {
-        let mut cursor = self.cursor()?;
-        let mut out = Vec::new();
-        while let Some(r) = cursor.next_rec()? {
-            out.push(r);
-        }
-        Ok(out)
+        self.cursor()?.collect_recs()
     }
 
     /// Reconstruct the sorted document as events (end tags regenerated from
     /// level transitions, Section 3.2).
     pub fn to_events(&self) -> Result<Vec<Event>> {
-        let recs = self.to_recs()?;
-        let mut em = nexsort_xml::RecEmitter::new(&self.dict);
-        let mut out = Vec::new();
-        for r in &recs {
-            em.push_rec(r, &mut out)?;
-        }
-        em.finish(&mut out);
-        Ok(out)
+        nexsort_xml::recs_to_events(&self.to_recs()?, &self.dict)
     }
 
-    /// Serialize the sorted document to XML text in memory (convenience).
+    /// Stream the sorted document as XML text into `out`, with end tags
+    /// regenerated from an external tag stack (Section 3.2; see
+    /// [`nexsort_baseline::write_xml`]), so it works even when the document
+    /// is deeper than memory. Returns the records emitted.
+    pub fn write_xml(&self, out: &mut dyn std::io::Write, pretty: bool) -> Result<u64> {
+        nexsort_baseline::write_xml(&self.disk, &mut self.cursor()?, &self.dict, out, pretty)
+    }
+
+    /// Serialize the sorted document to XML text in memory (convenience
+    /// over [`SortedDoc::write_xml`]).
     pub fn to_xml(&self, pretty: bool) -> Result<Vec<u8>> {
-        Ok(nexsort_xml::events_to_xml(&self.to_events()?, pretty))
+        let mut out = Vec::new();
+        self.write_xml(&mut out, pretty)?;
+        Ok(out)
     }
 
     /// Stream the document once and verify it is *fully sorted* under
@@ -181,77 +180,6 @@ impl SortedDoc {
             last_key[lvl - 1] = Some(rec.key().clone());
         }
         Ok(checked)
-    }
-
-    /// Serialize to XML text using an *external* stack of unclosed tag
-    /// names for end-tag reconstruction -- the fully external-memory output
-    /// path of Section 3.2, usable even when the document is deeper than
-    /// memory. Returns the text and the records emitted.
-    pub fn write_xml_external(&self, sink: &mut Vec<u8>, pretty: bool) -> Result<u64> {
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::OutputEmit);
-        let records = self.write_xml_external_inner(sink, pretty)?;
-        self.disk.set_phase(entry_phase);
-        Ok(records)
-    }
-
-    fn write_xml_external_inner(&self, sink: &mut Vec<u8>, pretty: bool) -> Result<u64> {
-        let mut cursor = self.cursor()?;
-        let budget = MemoryBudget::new(2);
-        let mut tags = ExtStack::new(self.disk.clone(), &budget, IoCat::OutTagStack, 1)?;
-        let mut writer = nexsort_xml::XmlWriter::new(Vec::new()).pretty(pretty);
-        let mut open_levels = 0u32;
-        let mut records = 0u64;
-
-        let close_one =
-            |tags: &mut ExtStack, w: &mut nexsort_xml::XmlWriter<Vec<u8>>| -> Result<()> {
-                let len = tags.pop_u32()? as usize;
-                let name = tags.pop(len)?;
-                w.write(&Event::End { name })?;
-                Ok(())
-            };
-
-        while let Some(rec) = cursor.next_rec()? {
-            records += 1;
-            let lvl = rec.level();
-            while open_levels >= lvl {
-                close_one(&mut tags, &mut writer)?;
-                open_levels -= 1;
-            }
-            match rec {
-                Rec::Elem(e) => {
-                    if lvl != open_levels + 1 {
-                        return Err(XmlError::Record(format!(
-                            "level jump to {lvl} with {open_levels} open tags"
-                        )));
-                    }
-                    let name = e.name.resolve(&self.dict)?.to_vec();
-                    let attrs = e
-                        .attrs
-                        .iter()
-                        .map(|(k, v)| Ok((k.resolve(&self.dict)?.to_vec(), v.clone())))
-                        .collect::<Result<Vec<_>>>()?;
-                    writer.write(&Event::Start { name: name.clone(), attrs })?;
-                    tags.push(&name)?;
-                    tags.push_u32(name.len() as u32)?;
-                    open_levels += 1;
-                }
-                Rec::Text(t) => {
-                    writer.write(&Event::Text { content: t.content })?;
-                }
-                Rec::RunPtr(_) | Rec::KeyPatch(_) => {
-                    return Err(XmlError::Record(
-                        "unresolved pointer or patch record reached output".into(),
-                    ))
-                }
-            }
-        }
-        while open_levels > 0 {
-            close_one(&mut tags, &mut writer)?;
-            open_levels -= 1;
-        }
-        sink.extend_from_slice(&writer.into_inner());
-        Ok(records)
     }
 }
 
@@ -357,14 +285,16 @@ mod tests {
     #[test]
     fn xml_serializations_agree_internal_and_external() {
         let doc = sorted_fixture(1);
-        let quick = doc.to_xml(false).unwrap();
-        let mut ext = Vec::new();
-        let n = doc.write_xml_external(&mut ext, false).unwrap();
-        assert_eq!(quick, ext);
-        assert_eq!(n, doc.report.n_records);
-        // And it reparses into a legal permutation of itself.
-        let dom = parse_dom(&quick).unwrap();
-        assert!(dom.permutation_equivalent(&dom.clone()));
+        for pretty in [false, true] {
+            let reference = nexsort_xml::events_to_xml(&doc.to_events().unwrap(), pretty);
+            let mut ext = Vec::new();
+            let n = doc.write_xml(&mut ext, pretty).unwrap();
+            assert_eq!(ext, reference, "pretty={pretty}");
+            assert_eq!(n, doc.report.n_records);
+            // And it reparses into a legal permutation of itself.
+            let dom = parse_dom(&ext).unwrap();
+            assert!(dom.permutation_equivalent(&dom.clone()));
+        }
     }
 
     #[test]

@@ -153,6 +153,15 @@ impl ByteSink for Vec<u8> {
     }
 }
 
+/// A [`ByteSink`] over any [`std::io::Write`] (a file, stdout, a `Vec`).
+pub struct IoSink<W>(pub W);
+
+impl<W: std::io::Write> ByteSink for IoSink<W> {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        std::io::Write::write_all(&mut self.0, buf).map_err(ExtError::Io)
+    }
+}
+
 /// A [`ByteReader`] over an in-memory slice.
 pub struct SliceReader<'a> {
     data: &'a [u8],

@@ -62,7 +62,7 @@ pub use build::{BuildError, DiskBuilder, DiskStack};
 pub use device::{BlockDevice, Disk, FileDevice, MemDevice, TraceEntry};
 pub use error::{ExtError, Result};
 pub use extent::{
-    ByteReader, ByteSink, Extent, ExtentReader, ExtentRevCursor, ExtentWriter, SliceReader,
+    ByteReader, ByteSink, Extent, ExtentReader, ExtentRevCursor, ExtentWriter, IoSink, SliceReader,
 };
 pub use fault::{
     ChecksummedDevice, CrashController, CrashDevice, CrashPlan, DeviceHealth, DiskFailure,

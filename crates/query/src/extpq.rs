@@ -318,6 +318,60 @@ impl ExtPq {
     }
 }
 
+/// A failed priority-queue script line (see [`run_script`]).
+#[derive(Debug)]
+pub struct ScriptError {
+    /// The 1-based line number.
+    pub line: usize,
+    /// The queue operation's error; `None` when the line is no operation.
+    pub error: Option<XmlError>,
+    text: String,
+}
+
+impl std::fmt::Display for ScriptError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (line, text) = (self.line, &self.text);
+        match &self.error {
+            Some(e) => write!(f, "pq script line {line}: {e}"),
+            None => write!(
+                f,
+                "pq script line {line}: expected \"push KEY\", \"pop\", or \"peek\", got {text:?}"
+            ),
+        }
+    }
+}
+
+/// Execute a priority-queue script on `pq`: one operation per line
+/// (`push KEY` | `pop` | `peek`), with blank lines and `#` comments
+/// skipped. Returns the transcript: one line per pop or peek (`-` when the
+/// queue is empty) and a final `len N`.
+pub fn run_script(pq: &mut ExtPq, script: &str) -> std::result::Result<String, ScriptError> {
+    let mut out = String::new();
+    for (ln, raw) in script.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let fail = |error| ScriptError { line: ln + 1, error, text: line.to_string() };
+        let head = if let Some(key) = line.strip_prefix("push ") {
+            pq.push(key.as_bytes()).map_err(|e| fail(Some(e)))?;
+            continue;
+        } else if line == "pop" {
+            pq.pop()
+        } else if line == "peek" {
+            pq.peek()
+        } else {
+            return Err(fail(None));
+        };
+        match head.map_err(|e| fail(Some(e)))? {
+            Some(k) => out.push_str(&format!("{line} {}\n", String::from_utf8_lossy(&k))),
+            None => out.push_str(&format!("{line} -\n")),
+        }
+    }
+    out.push_str(&format!("len {}\n", pq.len()));
+    Ok(out)
+}
+
 #[derive(Clone, Copy)]
 enum MinSource {
     Buffer,

@@ -35,7 +35,7 @@ use nexsort::{
 };
 use nexsort_baseline::{ParsedRecSource, PathedAdapter, PathedSource, RecSource};
 use nexsort_extmem::{
-    recover, ByteSink, Disk, Extent, IoCat, IoPhase, Journal, JournalRecord, KWayMerger,
+    recover, ByteSink, Disk, ExtError, Extent, IoCat, IoPhase, Journal, JournalRecord, KWayMerger,
     MemoryBudget, MergeStream, RunId, RunReader, RunStore,
 };
 use nexsort_xml::{KeyPath, PathedRec, Rec, RecDecoder, Result, SortSpec, TagDict, XmlError};
@@ -121,12 +121,7 @@ impl TopKDoc {
         let budget = MemoryBudget::new(self.mem_frames);
         let len = self.store.run_len(self.root).map_err(XmlError::Ext)?;
         let reader = self.store.open(self.root, &budget, IoCat::RunRead).map_err(XmlError::Ext)?;
-        let mut dec = RecDecoder::with_limit(reader, len);
-        let mut recs = Vec::new();
-        while let Some(rec) = dec.next_rec()? {
-            recs.push(rec);
-        }
-        Ok(recs)
+        RecDecoder::with_limit(reader, len).collect_recs()
     }
 
     /// The raw encoded bytes of the output run (the byte-identity the
@@ -139,30 +134,35 @@ impl TopKDoc {
         Ok(out)
     }
 
-    /// Render one line per output record: `level kind name key`. A top-k
-    /// prefix is generally not a well-formed XML tree (children may be cut
-    /// from their parents), so the listing form is the honest output.
-    pub fn to_text(&self) -> Result<String> {
-        let mut out = String::new();
+    /// Stream the listing into `out`, one line per output record: `level
+    /// kind name key`. A top-k prefix is generally not a well-formed XML
+    /// tree (children may be cut from their parents), so the listing form
+    /// is the honest output.
+    pub fn write_text(&self, out: &mut dyn std::io::Write) -> Result<()> {
         for rec in self.to_recs()? {
-            match &rec {
+            let line = match &rec {
                 Rec::Elem(e) => {
                     let name = String::from_utf8_lossy(e.name.resolve(&self.dict)?).into_owned();
-                    out.push_str(&format!("{} elem {} {}\n", e.level, name, e.key));
+                    format!("{} elem {} {}\n", e.level, name, e.key)
                 }
                 Rec::Text(t) => {
                     let txt = String::from_utf8_lossy(&t.content).into_owned();
-                    out.push_str(&format!("{} text {:?} {}\n", t.level, txt, t.key));
+                    format!("{} text {:?} {}\n", t.level, txt, t.key)
                 }
-                Rec::RunPtr(p) => {
-                    out.push_str(&format!("{} ptr run={} {}\n", p.level, p.run, p.key));
-                }
-                Rec::KeyPatch(p) => {
-                    out.push_str(&format!("{} patch {}\n", p.level, p.key));
-                }
-            }
+                Rec::RunPtr(p) => format!("{} ptr run={} {}\n", p.level, p.run, p.key),
+                Rec::KeyPatch(p) => format!("{} patch {}\n", p.level, p.key),
+            };
+            out.write_all(line.as_bytes()).map_err(|e| XmlError::Ext(ExtError::Io(e)))?;
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// The listing of [`TopKDoc::write_text`] as a string.
+    pub fn to_text(&self) -> Result<String> {
+        let mut out = Vec::new();
+        self.write_text(&mut out)?;
+        // Every line is formatted from `str`s, so the bytes are UTF-8.
+        Ok(String::from_utf8_lossy(&out).into_owned())
     }
 
     /// The tag dictionary the records were encoded against.

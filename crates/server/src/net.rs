@@ -969,6 +969,67 @@ mod tests {
     }
 
     #[test]
+    fn chunked_fetch_never_splits_a_multibyte_character() {
+        use crate::job::{JobInput, JobSpec};
+
+        let (sock, dir, daemon) = start_daemon("utf8", ServeOptions::default());
+        // 1-, 2-, 3- and 4-byte characters: 16-byte chunk boundaries land
+        // inside characters again and again.
+        let text = "a\u{e9}\u{4e2d}\u{1f600}".repeat(7);
+        let doc = format!("<r><x k=\"2\">{text}</x><x k=\"1\">b{text}</x></r>");
+        let spec = JobSpec {
+            input: JobInput::Inline(doc.into_bytes()),
+            default_rule: Some("@k".into()),
+            ..JobSpec::default()
+        };
+        let resp = request_submit(&sock, &spec).unwrap();
+        let id = resp.get("id").and_then(Value::as_u64).unwrap();
+        let resp =
+            request(&sock, &obj(vec![("op", s("wait")), ("id", n(id)), ("timeout_ms", n(30_000))]))
+                .unwrap();
+        let job = resp.get("job").expect("wait returns the job");
+        assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{}", resp.to_json());
+        let resp = request(&sock, &obj(vec![("op", s("fetch")), ("id", n(id))])).unwrap();
+        let whole = resp.get("output").and_then(Value::as_str).unwrap().to_string();
+        assert!(whole.contains(&text) && !whole.contains('\u{fffd}'));
+
+        assert_eq!(request_fetch_chunked(&sock, id, 16).unwrap(), whole);
+        // Chunk by chunk: the wire carries each chunk as a string, so a
+        // split character would arrive as U+FFFD.
+        let (mut offset, mut joined, mut trimmed) = (0u64, String::new(), 0);
+        loop {
+            let resp = request(
+                &sock,
+                &obj(vec![
+                    ("op", s("fetch_chunk")),
+                    ("id", n(id)),
+                    ("offset", n(offset)),
+                    ("len", n(16)),
+                ]),
+            )
+            .unwrap();
+            let chunk = resp.get("chunk").and_then(Value::as_str).unwrap();
+            let eof = resp.get("eof").and_then(Value::as_bool).unwrap();
+            assert_eq!(resp.get("total").and_then(Value::as_u64), Some(whole.len() as u64));
+            assert!(!chunk.contains('\u{fffd}'), "chunk at {offset} split a character");
+            assert!(chunk.len() <= 16 && !chunk.is_empty());
+            trimmed += usize::from(chunk.len() < 16 && !eof);
+            joined.push_str(chunk);
+            offset += chunk.len() as u64;
+            if eof {
+                break;
+            }
+        }
+        assert_eq!(joined, whole);
+        assert!(trimmed > 3, "only {trimmed} chunk(s) needed trimming");
+
+        let resp = request(&sock, &obj(vec![("op", s("shutdown"))])).unwrap();
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+        daemon.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn protocol_edges_error_without_closing_the_connection() {
         use crate::job::{JobInput, JobSpec};
 

@@ -31,15 +31,17 @@
 //! one machine-wide budget with strict-FIFO fairness.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nexsort::{Nexsort, NexsortOptions, SortReport};
-use nexsort_baseline::stage_input;
+use nexsort_baseline::{stage_reader, write_output_file};
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
 use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskBuilder, DiskStack, ExtError, Extent};
+use nexsort_query::ScriptError;
 use nexsort_xml::{build_spec, XmlError};
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, Manifest};
@@ -248,7 +250,8 @@ pub struct Server {
 }
 
 /// Journal extent size for a given block size: 32 blocks, clamped so the
-/// header still self-describes the extent within one block.
+/// header (28 bytes of magic/count/crc plus 8 per block id) still
+/// self-describes the extent within one block.
 pub fn journal_blocks(block_size: usize) -> usize {
     32usize.min(((block_size.saturating_sub(28)) / 8).max(2))
 }
@@ -379,12 +382,19 @@ impl Server {
                 self.shared.arbiter.total_frames()
             )));
         }
-        let input_bytes = match &spec.input {
-            JobInput::Path(path) => std::fs::read(path)
-                .map_err(|e| SubmitError::Invalid(format!("cannot read {path:?}: {e}")))?,
-            JobInput::Inline(bytes) => bytes.clone(),
+        let is_xrec = match &spec.input {
+            JobInput::Path(path) => {
+                // Only the first bytes: the copy into the job directory
+                // streams the rest.
+                let mut head = Vec::new();
+                std::fs::File::open(path)
+                    .and_then(|f| f.take(8).read_to_end(&mut head))
+                    .map_err(|e| SubmitError::Invalid(format!("cannot read {path:?}: {e}")))?;
+                nexsort_xml::is_xrec(&head)
+            }
+            JobInput::Inline(bytes) => nexsort_xml::is_xrec(bytes),
         };
-        if spec.op != JobOp::Pq && nexsort_xml::is_xrec(&input_bytes) {
+        if spec.op != JobOp::Pq && is_xrec {
             return Err(SubmitError::Invalid(
                 "server jobs take XML text; .xrec inputs are not resumable across restarts".into(),
             ));
@@ -426,8 +436,12 @@ impl Server {
         let job_dir = self.shared.cfg.job_dir.join(format!("job-{id}"));
         let persist = (|| -> Result<(), String> {
             std::fs::create_dir_all(&job_dir).map_err(|e| format!("mkdir {job_dir:?}: {e}"))?;
-            std::fs::write(job_dir.join("input.xml"), &input_bytes)
-                .map_err(|e| format!("cannot copy input: {e}"))?;
+            let copy = job_dir.join("input.xml");
+            match &spec.input {
+                JobInput::Path(path) => std::fs::copy(path, &copy).map(drop),
+                JobInput::Inline(bytes) => std::fs::write(&copy, bytes),
+            }
+            .map_err(|e| format!("cannot copy input: {e}"))?;
             let mut stored = spec.clone();
             stored.input = JobInput::Path(job_dir.join("input.xml"));
             Manifest {
@@ -564,16 +578,19 @@ impl Server {
         st
     }
 
+    /// The output file of a done job.
+    fn done_output(&self, id: u64) -> Result<PathBuf, String> {
+        let core = self.shared.lock_core();
+        let rec = core.jobs.get(&id).ok_or_else(|| format!("no such job {id}"))?;
+        if rec.state != JobState::Done {
+            return Err(format!("job {id} is {}, not done", rec.state.name()));
+        }
+        Ok(rec.output.clone())
+    }
+
     /// Read the finished output of a done job.
     pub fn fetch_output(&self, id: u64) -> Result<Vec<u8>, String> {
-        let (state, output) = {
-            let core = self.shared.lock_core();
-            let rec = core.jobs.get(&id).ok_or_else(|| format!("no such job {id}"))?;
-            (rec.state, rec.output.clone())
-        };
-        if state != JobState::Done {
-            return Err(format!("job {id} is {}, not done", state.name()));
-        }
+        let output = self.done_output(id)?;
         std::fs::read(&output).map_err(|e| format!("cannot read output {output:?}: {e}"))
     }
 
@@ -587,17 +604,25 @@ impl Server {
         offset: u64,
         len: u64,
     ) -> Result<(Vec<u8>, u64, bool), String> {
-        let bytes = self.fetch_output(id)?;
-        let total = bytes.len() as u64;
-        let start = offset.min(total) as usize;
-        let mut end = (offset.saturating_add(len)).min(total) as usize;
+        let output = self.done_output(id)?;
+        let read_err = |e: std::io::Error| format!("cannot read output {output:?}: {e}");
+        let mut file = std::fs::File::open(&output).map_err(read_err)?;
+        let total = file.metadata().map_err(read_err)?.len();
+        let start = offset.min(total);
+        let mut end = (offset.saturating_add(len).min(total) - start) as usize;
+        // Seek, then read the chunk plus one byte of lookahead: the byte at
+        // `end` decides whether the chunk splits a character.
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(start))
+            .and_then(|_| file.take(end as u64 + 1).read_to_end(&mut bytes))
+            .map_err(read_err)?;
         // Never split a multi-byte character: back off while the byte at
         // `end` is a UTF-8 continuation byte (0b10xxxxxx).
-        while end > start && end < bytes.len() && bytes[end] & 0xC0 == 0x80 {
+        while end > 0 && end < bytes.len() && bytes[end] & 0xC0 == 0x80 {
             end -= 1;
         }
-        let eof = end as u64 >= total;
-        Ok((bytes[start..end].to_vec(), total, eof))
+        bytes.truncate(end);
+        Ok((bytes, total, start + end as u64 >= total))
     }
 
     /// Block until job `id` reaches a settled state (terminal or
@@ -874,16 +899,15 @@ fn execute(
             None => return Outcome::Failed("resume without a staged input extent".into()),
         }
     } else {
-        let bytes = match std::fs::read(job_dir.join("input.xml")) {
-            Ok(b) => b,
-            Err(e) => return Outcome::Failed(format!("cannot read input copy: {e}")),
-        };
-        match stage_input(&disk, &bytes) {
+        let staged = std::fs::File::open(job_dir.join("input.xml"))
+            .map_err(|e| format!("cannot read input copy: {e}"))
+            .and_then(|f| stage_reader(&disk, f).map_err(|e| format!("staging: {e}")));
+        match staged {
             Ok(ext) => {
                 let staged = Some((ext.blocks().to_vec(), ext.len()));
                 (ext, staged)
             }
-            Err(e) => return Outcome::Failed(format!("staging: {e}")),
+            Err(msg) => return Outcome::Failed(msg),
         }
     };
     // The staged extent is what a restart reattaches: persist it before the
@@ -907,105 +931,78 @@ fn execute(
         parity_group: spec.parity_group,
         ..Default::default()
     };
-    if spec.op == JobOp::TopK {
+    let output = resolve_output(&shared.cfg, id, spec);
+    let arm = || {
+        if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
+            ctl.arm_after(ctl.ios() + after);
+        }
+    };
+    // `None` marks a failure caused by the simulated crash.
+    let failed = |e: &XmlError, msg: String| {
+        let froze = matches!(e, XmlError::Ext(ExtError::SimulatedCrash { .. }))
+            && crash.as_ref().is_some_and(|c| c.crashed());
+        Err((!froze).then_some(msg))
+    };
+    let cannot_write =
+        |e: std::io::Error| Err(Some(format!("cannot write output {output:?}: {e}")));
+    let done: Result<SortReport, Option<String>> = if spec.op == JobOp::TopK {
         let topk = match nexsort_query::TopK::new(disk.clone(), opts, sortspec, spec.k) {
             Ok(t) => t,
             Err(e) => return Outcome::Failed(e.to_string()),
         };
-        if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
-            ctl.arm_after(ctl.ios() + after);
-        }
+        arm();
         let result =
             if resume { topk.resume_xml_extent(&input) } else { topk.topk_xml_extent(&input) };
-        let text = result.and_then(|doc| doc.to_text().map(|t| (t, doc.report)));
-        let (text, report) = match text {
-            Ok(pair) => pair,
-            Err(XmlError::Ext(ExtError::SimulatedCrash { .. }))
-                if crash.as_ref().is_some_and(|c| c.crashed()) =>
-            {
-                // Same durable state as a killed sort: the journal has the
-                // last sealed phase, and the next Server::open resumes it.
-                manifest(JobState::Interrupted, &staged, None, resume);
-                return Outcome::Interrupted;
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-                return Outcome::Failed(msg);
-            }
-        };
-        let output = resolve_output(&shared.cfg, id, spec);
-        if let Err(e) = std::fs::write(&output, &text) {
-            let msg = format!("cannot write output {output:?}: {e}");
-            manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-            return Outcome::Failed(msg);
+        match result {
+            Ok(doc) => match write_output_file(&output, |w| doc.write_text(w)) {
+                Ok(Ok(())) => Ok(doc.report.sort),
+                Ok(Err(e)) => failed(&e, e.to_string()),
+                Err(e) => cannot_write(e),
+            },
+            Err(e) => failed(&e, e.to_string()),
         }
-        let _ = disk.cache_flush_all();
-        manifest(JobState::Done, &staged, None, resume);
-        let mut sort_report = report.sort;
-        sort_report.resumed = sort_report.resumed || resume;
-        return Outcome::Done(Some(Box::new(sort_report)));
-    }
-
-    let sorter = match Nexsort::new(disk.clone(), opts, sortspec) {
-        Ok(s) => s,
-        Err(e) => return Outcome::Failed(e.to_string()),
-    };
-    if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
-        ctl.arm_after(ctl.ios() + after);
-    }
-    let result = if resume {
-        sorter.try_resume_xml_extent(&input)
     } else {
-        sorter.try_sort_xml_extent(&input)
+        let sorter = match Nexsort::new(disk.clone(), opts, sortspec) {
+            Ok(s) => s,
+            Err(e) => return Outcome::Failed(e.to_string()),
+        };
+        arm();
+        let result = if resume {
+            sorter.try_resume_xml_extent(&input)
+        } else {
+            sorter.try_sort_xml_extent(&input)
+        };
+        match result {
+            Ok(doc) => match write_output_file(&output, |w| doc.write_xml(w, spec.pretty)) {
+                Ok(Ok(_)) => Ok(doc.report),
+                Ok(Err(e)) => failed(&e, format!("output phase: {e}")),
+                Err(e) => cannot_write(e),
+            },
+            Err(f) => failed(&f.error, f.to_string()),
+        }
     };
-    let doc = match result {
-        Ok(doc) => doc,
-        Err(f)
-            if matches!(f.error, XmlError::Ext(ExtError::SimulatedCrash { .. }))
-                && crash.as_ref().is_some_and(|c| c.crashed()) =>
-        {
-            // The device froze mid-sort: the job's durable state (journal,
-            // staged input, manifest) is exactly what a kill -9 leaves
-            // behind. The next Server::open resumes it.
+    match done {
+        Ok(mut report) => {
+            // Flush write-back pages so the on-disk image is consistent
+            // once the job is marked done.
+            let _ = disk.cache_flush_all();
+            manifest(JobState::Done, &staged, None, resume);
+            report.resumed = report.resumed || resume;
+            Outcome::Done(Some(Box::new(report)))
+        }
+        Err(None) => {
+            // The device froze mid-sort or mid-output: the job's durable
+            // state (journal, staged input, manifest) is exactly what a
+            // kill -9 leaves behind, so the next Server::open resumes it
+            // from the last sealed phase and redoes the output.
             manifest(JobState::Interrupted, &staged, None, resume);
-            return Outcome::Interrupted;
+            Outcome::Interrupted
         }
-        Err(f) => {
-            let msg = f.to_string();
+        Err(Some(msg)) => {
             manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-            return Outcome::Failed(msg);
+            Outcome::Failed(msg)
         }
-    };
-    let xml = match doc.to_xml(spec.pretty) {
-        Ok(xml) => xml,
-        Err(XmlError::Ext(ExtError::SimulatedCrash { .. }))
-            if crash.as_ref().is_some_and(|c| c.crashed()) =>
-        {
-            // Froze during the output phase: the sort itself is fully
-            // journalled, so the restart replays it and redoes the output.
-            manifest(JobState::Interrupted, &staged, None, resume);
-            return Outcome::Interrupted;
-        }
-        Err(e) => {
-            let msg = format!("output phase: {e}");
-            manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-            return Outcome::Failed(msg);
-        }
-    };
-    let output = resolve_output(&shared.cfg, id, spec);
-    if let Err(e) = std::fs::write(&output, &xml) {
-        let msg = format!("cannot write output {output:?}: {e}");
-        manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-        return Outcome::Failed(msg);
     }
-    // Flush write-back pages so the on-disk image is consistent once the
-    // job is marked done.
-    let _ = disk.cache_flush_all();
-    manifest(JobState::Done, &staged, None, resume);
-    let mut report = doc.report.clone();
-    report.resumed = report.resumed || resume;
-    Outcome::Done(Some(Box::new(report)))
 }
 
 /// Run a pq job: execute its `push KEY` / `pop` / `peek` script over an
@@ -1043,50 +1040,24 @@ fn execute_pq(
     if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
         ctl.arm_after(ctl.ios() + after);
     }
-    let mut out = String::new();
-    for (ln, raw) in script.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    let out = match nexsort_query::run_script(&mut pq, &script) {
+        Ok(out) => out,
+        Err(ScriptError {
+            error: Some(XmlError::Ext(ExtError::SimulatedCrash { .. })), ..
+        }) if crash.as_ref().is_some_and(|c| c.crashed()) => {
+            // The device froze mid-script; the next Server::open re-queues
+            // the job, which redoes the script from scratch.
+            manifest(JobState::Interrupted, &None, None, false);
+            return Outcome::Interrupted;
         }
-        let step = if let Some(key) = line.strip_prefix("push ") {
-            pq.push(key.as_bytes())
-        } else if line == "pop" {
-            pq.pop().map(|popped| match popped {
-                Some(k) => out.push_str(&format!("pop {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("pop -\n"),
-            })
-        } else if line == "peek" {
-            pq.peek().map(|head| match head {
-                Some(k) => out.push_str(&format!("peek {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("peek -\n"),
-            })
-        } else {
-            return Outcome::Failed(format!(
-                "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {line:?}",
-                ln + 1
-            ));
-        };
-        match step {
-            Ok(()) => {}
-            Err(XmlError::Ext(ExtError::SimulatedCrash { .. }))
-                if crash.as_ref().is_some_and(|c| c.crashed()) =>
-            {
-                // The device froze mid-script; the next Server::open
-                // re-queues the job, which redoes the script from scratch.
-                manifest(JobState::Interrupted, &None, None, false);
-                return Outcome::Interrupted;
-            }
-            Err(e) => {
-                let msg = format!("pq script line {}: {e}", ln + 1);
-                manifest(JobState::Failed, &None, Some(msg.clone()), false);
-                return Outcome::Failed(msg);
-            }
+        Err(e) => {
+            let msg = e.to_string();
+            manifest(JobState::Failed, &None, Some(msg.clone()), false);
+            return Outcome::Failed(msg);
         }
-    }
-    out.push_str(&format!("len {}\n", pq.len()));
+    };
     let output = resolve_output(&shared.cfg, id, spec);
-    if let Err(e) = std::fs::write(&output, &out) {
+    if let Err(e) = write_output_file(&output, |w| w.write_all(out.as_bytes())).and_then(|r| r) {
         let msg = format!("cannot write output {output:?}: {e}");
         manifest(JobState::Failed, &None, Some(msg.clone()), false);
         return Outcome::Failed(msg);
@@ -1112,7 +1083,7 @@ mod tests {
     /// What a one-shot in-memory sort of the same spec produces.
     fn direct_sort(xml: &[u8], spec: &JobSpec) -> Vec<u8> {
         let stack = DiskBuilder::new(spec.block_size).build().unwrap();
-        let input = stage_input(&stack.disk, xml).unwrap();
+        let input = nexsort_baseline::stage_input(&stack.disk, xml).unwrap();
         let sortspec = build_spec(spec.default_rule.as_deref(), &spec.keys).unwrap();
         let opts = NexsortOptions { mem_frames: spec.mem_frames, ..Default::default() };
         let sorter = Nexsort::new(stack.disk.clone(), opts, sortspec).unwrap();

@@ -102,10 +102,14 @@ fn external_xml_emission_matches_in_memory_emission() {
     let opts = NexsortOptions { threshold: Some(256), ..Default::default() };
     let sorted = Nexsort::new(disk, opts, spec).unwrap().sort_xml_extent(&input).unwrap();
 
-    let quick = sorted.to_xml(false).unwrap();
-    let mut external = Vec::new();
-    sorted.write_xml_external(&mut external, false).unwrap();
-    assert_eq!(quick, external);
+    for pretty in [false, true] {
+        let reference = nexsort_xml::events_to_xml(&sorted.to_events().unwrap(), pretty);
+        let mut external = Vec::new();
+        let n = sorted.write_xml(&mut external, pretty).unwrap();
+        assert_eq!(n, sorted.report.n_records);
+        assert_eq!(external, reference, "pretty={pretty}");
+        assert_eq!(sorted.to_xml(pretty).unwrap(), reference, "pretty={pretty}");
+    }
 }
 
 #[test]

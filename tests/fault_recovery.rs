@@ -165,11 +165,13 @@ fn faulty_device_composes_with_the_output_phase() {
     let sorted = sort_on(&disk).expect("must heal");
     let (_run, report) = sorted.write_output_run().expect("output phase heals too");
     assert!(report.records > 0);
-    let mut ext = Vec::new();
-    let n = sorted.write_xml_external(&mut ext, false).expect("external serialization heals");
-    assert_eq!(n, sorted.report.n_records);
-
     let clean_disk = Disk::new_mem(BLOCK);
     let clean = sort_on(&clean_disk).expect("fault-free");
-    assert_eq!(ext, clean.to_xml(false).unwrap());
+    for pretty in [false, true] {
+        let mut ext = Vec::new();
+        let n = sorted.write_xml(&mut ext, pretty).expect("external serialization heals");
+        assert_eq!(n, sorted.report.n_records);
+        let reference = nexsort_xml::events_to_xml(&clean.to_events().unwrap(), pretty);
+        assert_eq!(ext, reference, "pretty={pretty}");
+    }
 }
