@@ -8,7 +8,7 @@
 
 use nexsort::analysis;
 use nexsort_datagen::{table2_shapes, ExactGen, GenConfig, IbmGen};
-use nexsort_extmem::{CachePolicy, FaultPlan, IoCat, WriteMode};
+use nexsort_extmem::{FaultPlan, IoCat, WriteMode};
 use nexsort_xml::{attach_paths, events_to_recs, parse_events, KeyRule, Result, SortSpec, TagDict};
 
 use crate::runner::{
@@ -583,10 +583,9 @@ pub fn cache_sweep(scale: &ExpScale) -> Result<ExpTable> {
     let spec = bench_spec();
     let mut t = ExpTable::new(
         "cache",
-        "Buffer-pool sweep: logical vs physical transfers (frames x policy x mode)",
+        "Buffer-pool sweep: logical vs physical transfers (frames x mode)",
         &[
             "frames",
-            "policy",
             "mode",
             "logical-io",
             "phys-io",
@@ -602,21 +601,15 @@ pub fn cache_sweep(scale: &ExpScale) -> Result<ExpTable> {
     let elems = Some(scale.base_elements / 4);
     let mut logical0: Option<u64> = None;
     for &frames in &[0usize, 4, 16, 64] {
-        for (policy, mode) in [
-            (CachePolicy::Lru, WriteMode::Through),
-            (CachePolicy::Lru, WriteMode::Back),
-            (CachePolicy::Clock, WriteMode::Through),
-            (CachePolicy::Clock, WriteMode::Back),
-        ] {
-            // Without a pool, policy and mode are moot: one row suffices.
-            if frames == 0 && !(policy == CachePolicy::Lru && mode == WriteMode::Through) {
+        for mode in [WriteMode::Through, WriteMode::Back] {
+            // Without a pool the mode is moot: one row suffices.
+            if frames == 0 && mode == WriteMode::Back {
                 continue;
             }
             let cfg = RunConfig {
                 block_size: scale.block_size,
                 mem_frames: 24,
                 cache_frames: frames,
-                cache_policy: policy,
                 cache_write_mode: mode,
                 ..Default::default()
             };
@@ -630,14 +623,12 @@ pub fn cache_sweep(scale: &ExpScale) -> Result<ExpTable> {
             match logical0 {
                 None => logical0 = Some(logical),
                 Some(c) if c != logical => t.note(format!(
-                    "WARNING: logical I/O drifted at {frames} frames ({policy}, {mode}): \
-                     {logical} vs {c}"
+                    "WARNING: logical I/O drifted at {frames} frames ({mode}): {logical} vs {c}"
                 )),
                 Some(_) => {}
             }
             t.push_row(vec![
                 frames.to_string(),
-                if frames == 0 { "-".into() } else { policy.to_string() },
                 if frames == 0 { "-".into() } else { mode.to_string() },
                 logical.to_string(),
                 phys.to_string(),
@@ -1063,33 +1054,31 @@ mod tests {
     fn quick_cache_sweep_cuts_physical_io_without_moving_logical_io() {
         let t = cache_sweep(&ExpScale::quick()).unwrap();
         assert!(!t.notes.iter().any(|n| n.contains("WARNING")), "{:?}", t.notes);
-        // Columns: frames, policy, mode, logical, phys, logical-rd, phys-rd, ...
+        // Columns: frames, mode, logical, phys, logical-rd, phys-rd, hits, ...
         let cell = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
         let uncached = t.rows.iter().find(|r| r[0] == "0").unwrap();
         assert_eq!(
+            cell(uncached, 2),
             cell(uncached, 3),
-            cell(uncached, 4),
             "no pool: physical == logical, byte-identical accounting"
         );
         // Every row reports the same logical total...
-        assert!(t.rows.iter().all(|r| cell(r, 3) == cell(uncached, 3)), "{:?}", t.rows);
+        assert!(t.rows.iter().all(|r| cell(r, 2) == cell(uncached, 2)), "{:?}", t.rows);
         // ...and a warm pool performs strictly fewer physical reads than
-        // logical reads, for every policy and write mode at the top size.
+        // logical reads, in both write modes at the top size.
         let warm: Vec<&Vec<String>> = t.rows.iter().filter(|r| r[0] == "64").collect();
-        assert_eq!(warm.len(), 4, "lru/clock x through/back");
+        assert_eq!(warm.len(), 2, "through/back");
         for r in &warm {
             assert!(
-                cell(r, 6) < cell(r, 5),
+                cell(r, 5) < cell(r, 4),
                 "physical reads should drop below logical with 64 frames: {r:?}"
             );
-            assert!(cell(r, 7) > 0, "warm pool must record hits: {r:?}");
+            assert!(cell(r, 6) > 0, "warm pool must record hits: {r:?}");
         }
-        // Write-back coalesces: strictly fewer physical transfers than
-        // write-through at the same size and policy.
-        let phys_of = |policy: &str, mode: &str| -> u64 {
-            cell(warm.iter().find(|r| r[1] == policy && r[2] == mode).unwrap(), 4)
-        };
-        assert!(phys_of("lru", "write-back") <= phys_of("lru", "write-through"));
+        // Write-back coalesces: no more physical transfers than
+        // write-through at the same size.
+        let phys_of = |mode: &str| -> u64 { cell(warm.iter().find(|r| r[1] == mode).unwrap(), 3) };
+        assert!(phys_of("write-back") <= phys_of("write-through"));
     }
 
     #[test]

@@ -12,8 +12,8 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::{sort_rec_extent, BaselineOptions};
 use nexsort_datagen::stage_as_recs;
 use nexsort_extmem::{
-    CachePolicy, CrashPlan, Disk, FaultCounts, FaultKind, FaultPlan, IoCat, IoSnapshot, MemDevice,
-    MemoryBudget, RetryPolicy, WriteMode,
+    CrashPlan, Disk, FaultCounts, FaultKind, FaultPlan, IoCat, IoSnapshot, MemDevice, MemoryBudget,
+    RetryPolicy, WriteMode,
 };
 use nexsort_xml::{EventSource, Result, SortSpec, XmlError};
 
@@ -42,8 +42,6 @@ pub struct RunConfig {
     /// Buffer-pool frames for the device page cache, on top of `mem_frames`
     /// (0 disables the pool; logical I/O is identical either way).
     pub cache_frames: usize,
-    /// Buffer-pool eviction policy (ignored when `cache_frames` is 0).
-    pub cache_policy: CachePolicy,
     /// Buffer-pool write policy (ignored when `cache_frames` is 0).
     pub cache_write_mode: WriteMode,
     /// XOR parity group size for sealed runs (0 = unprotected, 1 = mirror;
@@ -67,7 +65,6 @@ impl Default for RunConfig {
             depth_limit: None,
             path_stack_frames: 2,
             cache_frames: 0,
-            cache_policy: CachePolicy::Lru,
             cache_write_mode: WriteMode::Through,
             parity_group: 0,
             checkpoint: false,
@@ -87,7 +84,6 @@ fn nexsort_opts(cfg: &RunConfig) -> NexsortOptions {
         path_stack_frames: cfg.path_stack_frames,
         data_stack_frames: 1,
         cache_frames: cfg.cache_frames,
-        cache_policy: cfg.cache_policy,
         cache_write_mode: cfg.cache_write_mode,
         parity_group: cfg.parity_group,
         checkpoint: cfg.checkpoint,
@@ -420,7 +416,7 @@ pub fn measure_mergesort(
     if cfg.cache_frames > 0 {
         // Enabled after staging so the measured pool starts cold.
         let pool_budget = MemoryBudget::new(cfg.cache_frames);
-        disk.enable_cache(&pool_budget, cfg.cache_frames, cfg.cache_policy, cfg.cache_write_mode)?;
+        disk.enable_cache(&pool_budget, cfg.cache_frames, cfg.cache_write_mode)?;
     }
     let opts = BaselineOptions {
         mem_frames: cfg.mem_frames,

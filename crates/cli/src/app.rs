@@ -11,9 +11,8 @@ use nexsort_baseline::{
     VecRecSource,
 };
 use nexsort_extmem::{
-    recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, IoSink, JournalRecord, RetryPolicy, RunId, RunStore,
-    ScrubReport, WriteMode,
+    recover, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent, FaultInjector,
+    FaultPlan, IoCat, IoSink, JournalRecord, RetryPolicy, RunId, RunStore, ScrubReport, WriteMode,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_xml::{Rec, SortSpec, TagDict};
@@ -74,8 +73,6 @@ pub struct Cli {
     /// Buffer-pool frames for the device page cache (0 = no pool). Extra
     /// memory on top of `--mem`, so logical I/O counts stay comparable.
     pub cache_frames: usize,
-    /// Buffer-pool eviction policy.
-    pub cache_policy: CachePolicy,
     /// Write-back caching (coalesce writes in the pool) instead of the
     /// default write-through.
     pub write_back: bool,
@@ -274,11 +271,10 @@ QUERY OPERATORS (`xsort topk` / `xsort pq`):
   prints one result line per pop/peek plus a final `len N`. Duplicate keys
   pop in FIFO order. --parity-group protects the sealed runs.
 
-BUFFER POOL (a pinning page cache between the sorter and the device):
+BUFFER POOL (an LRU page cache between the sorter and the device):
       --cache-frames N  pool capacity in frames (default: 0 = no cache);
                         extra memory on top of --mem, so the logical I/O
                         counts stay comparable across cache sizes
-      --cache-policy P  eviction policy: lru | clock    (default: lru)
       --write-back      coalesce repeated writes in the pool; the default
                         write-through keeps the device current on every write
 
@@ -412,7 +408,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut fault_seed = 42u64;
     let mut retries: Option<u32> = None;
     let mut cache_frames = 0usize;
-    let mut cache_policy = CachePolicy::Lru;
     let mut write_back = false;
     let mut checkpoint = false;
     let mut resume = false;
@@ -492,7 +487,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--cache-frames" => {
                 cache_frames = num(next_value(&mut it, arg)?, arg, "a nonnegative integer")?
             }
-            "--cache-policy" => cache_policy = next_value(&mut it, arg)?.parse()?,
             "--write-back" => write_back = true,
             "--checkpoint" => checkpoint = true,
             "--resume" => resume = true,
@@ -693,7 +687,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
         fault_seed,
         retries,
         cache_frames,
-        cache_policy,
         write_back,
         checkpoint,
         resume,
@@ -799,7 +792,7 @@ pub fn disk_spec(cli: &Cli) -> Result<DiskBuilder, String> {
         // The pool's frames come out of a dedicated budget so the sort
         // algorithm's own `--mem` allowance is untouched.
         let mode = if cli.write_back { WriteMode::Back } else { WriteMode::Through };
-        b = b.cache(cli.cache_frames, cli.cache_policy, mode);
+        b = b.cache(cli.cache_frames, mode);
     }
     Ok(b)
 }
@@ -854,7 +847,6 @@ fn nexsort_options(cli: &Cli) -> NexsortOptions {
         depth_limit: cli.depth_limit,
         degeneration: cli.algo == Algo::Degen,
         cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
         cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
         checkpoint: cli.checkpoint,
         journal_blocks: nexsort_server::server::journal_blocks(cli.block_size as usize),
@@ -935,8 +927,8 @@ fn sort_one(
 
 /// The `--stats` line describing the buffer pool, if one is configured.
 fn print_cache(disk: &Disk) {
-    if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
-        eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
+    if let (Some(frames), Some(mode)) = (disk.cache_capacity(), disk.cache_mode()) {
+        eprintln!("cache: {frames} frames, {mode}");
     }
 }
 
@@ -1034,8 +1026,11 @@ pub fn run(cli: &Cli) -> Result<(), String> {
 /// exercised with end to end). Repaired extents are re-sealed into the
 /// journal, so the healed layout is what the next invocation sees.
 pub fn scrub_device(cli: &Cli, path: &Path) -> Result<ScrubReport, CliError> {
-    let disk = Disk::open_file(path, cli.block_size as usize)
-        .map_err(|e| format!("cannot open device file {path:?}: {e}"))?;
+    let disk = DiskBuilder::new(cli.block_size as usize)
+        .open_file(path)
+        .build()
+        .map_err(|e| e.to_string())?
+        .disk;
     let recovered = recover(&disk, &[]).map_err(|e| format!("journal replay: {e}"))?;
     let Some((mut journal, state)) = recovered else {
         return Err(
@@ -1156,7 +1151,6 @@ fn client_spec(
         depth_limit: cli.depth_limit,
         degeneration: cli.algo == Algo::Degen,
         cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
         write_back: cli.write_back,
         parity_group: cli.parity_group,
         pretty: cli.pretty,
@@ -1622,26 +1616,14 @@ mod tests {
     fn cache_flags_parse_with_sane_defaults() {
         let plain = parse_args(&args(&["sort", "x.xml"])).unwrap();
         assert_eq!(plain.cache_frames, 0);
-        assert_eq!(plain.cache_policy, CachePolicy::Lru);
         assert!(!plain.write_back);
 
-        let cli = parse_args(&args(&[
-            "sort",
-            "x.xml",
-            "--cache-frames",
-            "32",
-            "--cache-policy",
-            "clock",
-            "--write-back",
-        ]))
-        .unwrap();
+        let cli =
+            parse_args(&args(&["sort", "x.xml", "--cache-frames", "32", "--write-back"])).unwrap();
         assert_eq!(cli.cache_frames, 32);
-        assert_eq!(cli.cache_policy, CachePolicy::Clock);
         assert!(cli.write_back);
 
         assert!(parse_args(&args(&["sort", "x.xml", "--cache-frames", "many"])).is_err());
-        let err = parse_args(&args(&["sort", "x.xml", "--cache-policy", "fifo"])).unwrap_err();
-        assert!(err.contains("unknown cache policy"), "{err}");
     }
 
     #[test]
@@ -1667,9 +1649,8 @@ mod tests {
         let uncached = sort_with(&[], &out);
         for extra in [
             &["--cache-frames", "8"][..],
-            &["--cache-frames", "8", "--cache-policy", "clock"][..],
             &["--cache-frames", "4", "--write-back"][..],
-            &["--cache-frames", "6", "--cache-policy", "clock", "--write-back"][..],
+            &["--cache-frames", "6", "--write-back"][..],
             &["--cache-frames", "8", "--algo", "mergesort"][..],
         ] {
             assert_eq!(sort_with(extra, &out), uncached, "{extra:?}");
@@ -1684,6 +1665,7 @@ mod tests {
             &["--prefetch-depth", "8"][..],
             &["--write-behind"][..],
             &["--stripe", "4"][..],
+            &["--cache-policy", "clock"][..],
         ] {
             let mut a = vec!["sort", "x.xml"];
             a.extend_from_slice(flag);
@@ -1848,18 +1830,13 @@ mod tests {
             "256",
             "--cache-frames",
             "8",
-            "--cache-policy",
-            "clock",
             "--write-back",
             "--retries",
             "2",
         ]))
         .unwrap();
-        let by_hand = DiskBuilder::new(256).retry(RetryPolicy::retries(2)).cache(
-            8,
-            CachePolicy::Clock,
-            WriteMode::Back,
-        );
+        let by_hand =
+            DiskBuilder::new(256).retry(RetryPolicy::retries(2)).cache(8, WriteMode::Back);
         assert_eq!(disk_spec(&cli).unwrap().describe(), by_hand.describe());
 
         // Fault flags map to one plan plus default retries.

@@ -1,6 +1,6 @@
 //! Configuration of a NEXSORT run.
 
-use nexsort_extmem::{CachePolicy, WriteMode};
+use nexsort_extmem::WriteMode;
 
 /// Tunables of the algorithm, mirroring the paper's parameters.
 #[derive(Debug, Clone)]
@@ -38,8 +38,6 @@ pub struct NexsortOptions {
     /// disables the pool entirely; behavior and counters are then identical
     /// to a pool-less build.
     pub cache_frames: usize,
-    /// Eviction policy for the buffer pool (ignored when `cache_frames` is 0).
-    pub cache_policy: CachePolicy,
     /// Write policy for the buffer pool: write-back coalesces repeated
     /// writes to hot blocks; write-through keeps the device current on every
     /// logical write (ignored when `cache_frames` is 0).
@@ -90,7 +88,6 @@ impl Default for NexsortOptions {
             path_stack_frames: 2,
             data_stack_frames: 1,
             cache_frames: 0,
-            cache_policy: CachePolicy::Lru,
             cache_write_mode: WriteMode::Through,
             checkpoint: false,
             journal_blocks: 32,
@@ -125,7 +122,6 @@ mod tests {
         assert!(o.compaction);
         assert!(!o.degeneration, "paper's measured configuration");
         assert_eq!(o.cache_frames, 0, "no pool by default: counts match the paper's model");
-        assert_eq!(o.cache_policy, CachePolicy::Lru);
         assert_eq!(o.cache_write_mode, WriteMode::Through);
         assert!(!o.checkpoint, "journaling is opt-in: extra I/O outside the paper's model");
         assert!(o.journal_blocks >= 2, "journal needs a header block plus record space");

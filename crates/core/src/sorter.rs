@@ -54,12 +54,7 @@ impl Nexsort {
         spec.validate()?;
         if opts.cache_frames > 0 && !disk.cache_enabled() {
             let cache_budget = MemoryBudget::new(opts.cache_frames);
-            disk.enable_cache(
-                &cache_budget,
-                opts.cache_frames,
-                opts.cache_policy,
-                opts.cache_write_mode,
-            )?;
+            disk.enable_cache(&cache_budget, opts.cache_frames, opts.cache_write_mode)?;
         }
         Ok(Self { disk, opts, spec })
     }

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use crate::budget::MemoryBudget;
 use crate::device::{BlockDevice, Disk, FileDevice, MemDevice};
 use crate::fault::{CrashController, CrashPlan, FaultInjector, FaultPlan, RetryPolicy};
-use crate::pool::{CachePolicy, WriteMode};
+use crate::pool::WriteMode;
 
 /// What backs the bottom of the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,11 +68,8 @@ impl std::fmt::Debug for DiskStack {
 /// Builder for a layered device stack; see the [module docs](self).
 ///
 /// ```
-/// use nexsort_extmem::{CachePolicy, DiskBuilder, WriteMode};
-/// let stack = DiskBuilder::new(512)
-///     .cache(8, CachePolicy::Lru, WriteMode::Back)
-///     .build()
-///     .unwrap();
+/// use nexsort_extmem::{DiskBuilder, WriteMode};
+/// let stack = DiskBuilder::new(512).cache(8, WriteMode::Back).build().unwrap();
 /// assert_eq!(stack.disk.cache_capacity(), Some(8));
 /// ```
 #[derive(Debug, Clone)]
@@ -83,8 +80,7 @@ pub struct DiskBuilder {
     faults: Option<FaultPlan>,
     crash: Option<CrashPlan>,
     retry: Option<RetryPolicy>,
-    cache: Option<(usize, CachePolicy, WriteMode)>,
-    cache_budget: Option<MemoryBudget>,
+    cache: Option<(usize, WriteMode)>,
     shadow: bool,
 }
 
@@ -99,7 +95,6 @@ impl DiskBuilder {
             crash: None,
             retry: None,
             cache: None,
-            cache_budget: None,
             shadow: false,
         }
     }
@@ -139,26 +134,10 @@ impl DiskBuilder {
         self
     }
 
-    /// Enable the pinning page cache with `frames` frames from a dedicated
-    /// budget (see [`cache_from`](Self::cache_from) to meter the frames
-    /// from a caller-owned budget, e.g. a server job's lease).
-    pub fn cache(mut self, frames: usize, policy: CachePolicy, mode: WriteMode) -> Self {
-        self.cache = Some((frames, policy, mode));
-        self.cache_budget = None;
-        self
-    }
-
-    /// [`cache`](Self::cache), reserving the frames from `budget` instead
-    /// of a fresh dedicated one.
-    pub fn cache_from(
-        mut self,
-        budget: &MemoryBudget,
-        frames: usize,
-        policy: CachePolicy,
-        mode: WriteMode,
-    ) -> Self {
-        self.cache = Some((frames, policy, mode));
-        self.cache_budget = Some(budget.clone());
+    /// Enable the LRU page cache with `frames` frames from a dedicated
+    /// budget.
+    pub fn cache(mut self, frames: usize, mode: WriteMode) -> Self {
+        self.cache = Some((frames, mode));
         self
     }
 
@@ -185,10 +164,7 @@ impl DiskBuilder {
         };
         let cache = match &self.cache {
             None => "none".to_string(),
-            Some((frames, policy, mode)) => format!(
-                "{frames}/{policy:?}/{mode:?}{}",
-                if self.cache_budget.is_some() { "/leased" } else { "/dedicated" }
-            ),
+            Some((frames, mode)) => format!("{frames}/{mode:?}"),
         };
         format!(
             "block={} backing={} faults={} crash={:?} retry={:?} cache={} shadow={}",
@@ -209,20 +185,12 @@ impl DiskBuilder {
         if let Some(policy) = self.retry {
             disk.set_retry_policy(policy);
         }
-        if let Some((frames, policy, mode)) = self.cache {
+        if let Some((frames, mode)) = self.cache {
             if frames > 0 {
-                // Dedicated budget by default: the pool's frames are extra
-                // memory on top of the algorithm's own allowance, so logical
-                // I/O counts stay comparable across cache sizes.
-                let dedicated;
-                let budget = match &self.cache_budget {
-                    Some(b) => b,
-                    None => {
-                        dedicated = MemoryBudget::new(frames);
-                        &dedicated
-                    }
-                };
-                disk.enable_cache(budget, frames, policy, mode)
+                // A dedicated budget: the pool's frames are extra memory on
+                // top of the algorithm's own allowance, so logical I/O
+                // counts stay comparable across cache sizes.
+                disk.enable_cache(&MemoryBudget::new(frames), frames, mode)
                     .map_err(|e| BuildError(format!("cannot enable the page cache: {e}")))?;
             }
         }
@@ -287,10 +255,10 @@ mod tests {
 
     #[test]
     fn describe_is_canonical_and_distinguishes_stacks() {
-        let a = DiskBuilder::new(512).cache(8, CachePolicy::Lru, WriteMode::Through);
-        let b = DiskBuilder::new(512).cache(8, CachePolicy::Lru, WriteMode::Through);
+        let a = DiskBuilder::new(512).cache(8, WriteMode::Through);
+        let b = DiskBuilder::new(512).cache(8, WriteMode::Through);
         assert_eq!(a.describe(), b.describe());
-        let c = b.clone().cache(8, CachePolicy::Clock, WriteMode::Through);
+        let c = b.clone().cache(8, WriteMode::Back);
         assert_ne!(a.describe(), c.describe());
     }
 

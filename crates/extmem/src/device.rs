@@ -21,9 +21,7 @@ use crate::fault::{
     ChecksummedDevice, CrashController, CrashDevice, CrashPlan, DeviceHealth, DiskFailure,
     FaultInjector, FaultPlan, FaultyDevice, IoPhase, RetryPolicy,
 };
-use crate::pool::{
-    CachePolicy, EvictionPolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode,
-};
+use crate::pool::{PoolCore, SlotAcquire, WriteMode};
 use crate::shadow::ShadowState;
 use crate::stats::{CacheEvent, IoCat, IoStats};
 
@@ -346,11 +344,6 @@ impl Disk {
         }
     }
 
-    /// Whether the shadow-state sanitizer is attached.
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow.borrow().is_some()
-    }
-
     /// Wrap `dev` in the fault-injection stack: faults injected per `plan`
     /// below a checksum layer that detects any corruption they cause. The
     /// returned [`FaultInjector`] observes (and can extend) the schedule.
@@ -359,13 +352,6 @@ impl Disk {
         let faulty = FaultyDevice::new(dev, plan);
         let injector = faulty.injector();
         (Self::new(Box::new(ChecksummedDevice::new(faulty))), injector)
-    }
-
-    /// Wrap `dev` with checksum verification only (no injected faults):
-    /// real-device corruption surfaces as
-    /// [`ExtError::ChecksumMismatch`](crate::ExtError::ChecksumMismatch).
-    pub fn new_checksummed(dev: Box<dyn BlockDevice>) -> Rc<Self> {
-        Self::new(Box::new(ChecksummedDevice::new(dev)))
     }
 
     /// Start recording every *physical* block transfer (id + direction +
@@ -399,17 +385,6 @@ impl Disk {
         (Self::new(Box::new(crash)), ctl)
     }
 
-    /// A file-backed disk at `path` (truncates any existing file).
-    pub fn new_file(path: &Path, block_size: usize) -> Result<Rc<Self>> {
-        Ok(Self::new(Box::new(FileDevice::create(path, block_size)?)))
-    }
-
-    /// A disk over an *existing* device file at `path`, preserving its
-    /// contents (see [`FileDevice::open`]). Used by the scrub/recovery paths.
-    pub fn open_file(path: &Path, block_size: usize) -> Result<Rc<Self>> {
-        Ok(Self::new(Box::new(FileDevice::open(path, block_size)?)))
-    }
-
     /// A point-in-time copy of the device health map: quarantined blocks,
     /// parity repairs and re-derived runs.
     pub fn health(&self) -> DeviceHealth {
@@ -428,9 +403,7 @@ impl Disk {
     /// untrustworthy and must not resurface.
     pub fn quarantine_block(&self, block: u64) {
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            // A pinned frame on a quarantined block would be a repair-layer
-            // bug; invalidation failure is not actionable here.
-            let _ = pool.invalidate(block);
+            pool.invalidate(block);
         }
         self.health.borrow_mut().quarantine(block);
     }
@@ -460,11 +433,6 @@ impl Disk {
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         assert!(policy.max_attempts >= 1, "a transfer needs at least one attempt");
         self.retry.set(policy);
-    }
-
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.get()
     }
 
     /// Label subsequent transfers with the algorithm phase performing them,
@@ -555,8 +523,7 @@ impl Disk {
 
     /// Return a block for reuse (e.g. popped stack blocks). Any cached frame
     /// for the block is invalidated first -- its dirty contents are dead, and
-    /// must not be written back over a future reallocation of the id. Errors
-    /// with [`ExtError::FramePinned`] if a pin guard on the block is alive.
+    /// must not be written back over a future reallocation of the id.
     pub fn free_block(&self, id: u64) -> Result<()> {
         // A quarantined block is permanently retired: it must never re-enter
         // the allocator (a recycled bad sector would fault again), so freeing
@@ -565,7 +532,7 @@ impl Disk {
             return Ok(());
         }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            pool.invalidate(id)?;
+            pool.invalidate(id);
         }
         self.dev.borrow_mut().free(id)?;
         if let Some(sh) = self.shadow.borrow().as_ref() {
@@ -716,7 +683,7 @@ impl Disk {
     /// stays resident and dirty, so nothing is lost and the recorded
     /// [`DiskFailure`] names the victim block under the current phase.
     fn obtain_slot(&self, pool: &mut PoolCore) -> Result<usize> {
-        match pool.acquire_plan()? {
+        match pool.acquire_plan() {
             SlotAcquire::Free(slot) => Ok(slot),
             SlotAcquire::Evict { slot, block, dirty, data } => {
                 if let Some((len, wcat)) = dirty {
@@ -753,7 +720,7 @@ impl Disk {
             sh.check_write(id, self.dev.borrow().num_blocks())?;
         }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            pool.invalidate(id)?;
+            pool.invalidate(id);
         }
         self.phys_write(id, data, IoCat::Journal)?;
         self.stats.add_writes(IoCat::Journal, 1);
@@ -772,11 +739,11 @@ impl Disk {
     }
 }
 
-/// Buffer-pool management and pinning (see the [`pool`](crate::pool) module).
+/// Buffer-pool management (see the [`pool`](crate::pool) module).
 impl Disk {
-    /// Enable a buffer pool of `frames` frames reserved from `budget`,
-    /// using the named eviction `policy` and write `mode`. The frames stay
-    /// reserved (RAII) until [`Disk::disable_cache`] or the disk is dropped.
+    /// Enable an LRU buffer pool of `frames` frames reserved from `budget`,
+    /// with write `mode`. The frames stay reserved (RAII) until
+    /// [`Disk::disable_cache`] or the disk is dropped.
     ///
     /// Reserve cache frames from a budget *separate* from the sorting
     /// algorithm's `M`-frame budget if the paper's logical I/O counts must
@@ -791,19 +758,6 @@ impl Disk {
         &self,
         budget: &MemoryBudget,
         frames: usize,
-        policy: CachePolicy,
-        mode: WriteMode,
-    ) -> Result<()> {
-        self.enable_cache_with(budget, frames, policy.build(frames), mode)
-    }
-
-    /// [`Disk::enable_cache`] with a caller-supplied [`EvictionPolicy`]
-    /// implementation (the policy must be sized for `frames` slots).
-    pub fn enable_cache_with(
-        &self,
-        budget: &MemoryBudget,
-        frames: usize,
-        policy: Box<dyn EvictionPolicy>,
         mode: WriteMode,
     ) -> Result<()> {
         assert!(frames > 0, "a buffer pool needs at least one frame");
@@ -813,7 +767,7 @@ impl Disk {
             sh.watch_budget(budget);
         }
         let reservation = budget.reserve(frames)?;
-        *slot = Some(PoolCore::new(reservation, self.block_size, policy, mode));
+        *slot = Some(PoolCore::new(reservation, self.block_size, mode));
         Ok(())
     }
 
@@ -827,11 +781,6 @@ impl Disk {
         self.pool.borrow().as_ref().map(PoolCore::capacity)
     }
 
-    /// The pool's eviction-policy name (`"lru"`, `"clock"`, ...), if enabled.
-    pub fn cache_policy_name(&self) -> Option<&'static str> {
-        self.pool.borrow().as_ref().map(PoolCore::policy_name)
-    }
-
     /// The pool's write mode, if enabled.
     pub fn cache_mode(&self) -> Option<WriteMode> {
         self.pool.borrow().as_ref().map(PoolCore::mode)
@@ -840,23 +789,6 @@ impl Disk {
     /// Number of blocks currently resident in the pool (0 if disabled).
     pub fn cache_resident(&self) -> usize {
         self.pool.borrow().as_ref().map_or(0, PoolCore::resident)
-    }
-
-    /// Write back `block`'s frame now if it is resident and dirty (one
-    /// physical write, counted as a dirty writeback). The frame stays
-    /// resident and becomes clean. Errors with [`ExtError::CacheDisabled`]
-    /// if no pool is enabled.
-    pub fn cache_flush(&self, block: u64) -> Result<()> {
-        let mut pool_ref = self.pool.borrow_mut();
-        let pool = pool_ref.as_mut().ok_or(ExtError::CacheDisabled)?;
-        if let Some(slot) = pool.peek(block) {
-            if let Some((len, cat)) = pool.dirty_of(slot) {
-                self.phys_write(block, &pool.slot_data(slot).borrow()[..len], cat)?;
-                pool.clean(slot);
-                self.stats.add_cache_event(self.phase.get(), CacheEvent::DirtyWriteback);
-            }
-        }
-        Ok(())
     }
 
     /// Write back every dirty frame, in ascending block order (deterministic
@@ -878,16 +810,11 @@ impl Disk {
     }
 
     /// Flush all dirty frames, then tear the pool down, returning its frames
-    /// to the budget they were reserved from. Errors with
-    /// [`ExtError::FramePinned`] (and leaves the pool enabled) if any pin
-    /// guard is still alive. A no-op when no pool is enabled.
+    /// to the budget they were reserved from. A no-op when no pool is
+    /// enabled.
     pub fn disable_cache(&self) -> Result<()> {
-        {
-            let pool_ref = self.pool.borrow();
-            let Some(pool) = pool_ref.as_ref() else { return Ok(()) };
-            if let Some(block) = pool.first_pinned_block() {
-                return Err(ExtError::FramePinned { block });
-            }
+        if !self.cache_enabled() {
+            return Ok(());
         }
         self.cache_flush_all()?;
         *self.pool.borrow_mut() = None;
@@ -897,83 +824,6 @@ impl Disk {
             sh.check_budget_restored()?;
         }
         Ok(())
-    }
-
-    /// Pin `block` into the pool for reading and return an RAII guard; the
-    /// frame cannot be evicted while the guard lives. Charges one logical
-    /// read to `cat` (a miss also costs one physical read to load the
-    /// frame). Errors with [`ExtError::CacheDisabled`] if no pool is
-    /// enabled, or [`ExtError::AllFramesPinned`] if loading the block would
-    /// need a frame and every frame is pinned.
-    pub fn pin(self: &Rc<Self>, block: u64, cat: IoCat) -> Result<PinGuard> {
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_read(block, self.dev.borrow().num_blocks())?;
-        }
-        let data = self.pin_load(block, cat, false)?;
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_pin(block, true);
-        }
-        Ok(PinGuard::new(Rc::clone(self), block, data))
-    }
-
-    /// Pin `block` for writing. Like [`Disk::pin`], but also charges one
-    /// logical write to `cat` and marks the whole frame dirty: edits through
-    /// the guard reach the device at eviction, flush, or
-    /// [`PinMutGuard::commit`] -- in *both* write modes, pinned edits behave
-    /// like write-back, because the pool cannot see individual edits to
-    /// write them through.
-    pub fn pin_mut(self: &Rc<Self>, block: u64, cat: IoCat) -> Result<PinMutGuard> {
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_write(block, self.dev.borrow().num_blocks())?;
-        }
-        let data = self.pin_load(block, cat, true)?;
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_pin(block, false);
-        }
-        Ok(PinMutGuard::new(Rc::clone(self), block, data))
-    }
-
-    fn pin_load(&self, block: u64, cat: IoCat, for_write: bool) -> Result<Rc<RefCell<Vec<u8>>>> {
-        let mut pool_ref = self.pool.borrow_mut();
-        let pool = pool_ref.as_mut().ok_or(ExtError::CacheDisabled)?;
-        let phase = self.phase.get();
-        let slot = if let Some(slot) = pool.lookup(block) {
-            self.stats.add_cache_event(phase, CacheEvent::Hit);
-            slot
-        } else {
-            self.stats.add_cache_event(phase, CacheEvent::Miss);
-            let slot = self.obtain_slot(pool)?;
-            let data = pool.slot_data(slot);
-            {
-                let mut d = data.borrow_mut();
-                if let Err(e) = self.phys_read(block, &mut d, cat) {
-                    drop(d);
-                    pool.release_slot(slot);
-                    return Err(e);
-                }
-            }
-            pool.install(slot, block);
-            slot
-        };
-        pool.pin(slot);
-        self.stats.add_reads(cat, 1);
-        if for_write {
-            pool.mark_dirty(slot, self.block_size, cat);
-            self.stats.add_writes(cat, 1);
-        }
-        Ok(pool.slot_data(slot))
-    }
-
-    /// Drop one pin on `block` (guard Drop path; no-op if no pool).
-    /// `shared` distinguishes a [`PinGuard`] from a [`PinMutGuard`] so the
-    /// shadow sanitizer can release the matching pin kind.
-    pub(crate) fn cache_unpin(&self, block: u64, shared: bool) {
-        if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            pool.unpin_block(block);
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_unpin(block, shared);
-        }
     }
 }
 
@@ -1011,7 +861,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nexsort-dev-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("blocks.bin");
-        let disk = Disk::new_file(&path, 256).unwrap();
+        let disk = crate::DiskBuilder::new(256).file(&path).build().unwrap().disk;
         roundtrip(&disk);
         std::fs::remove_file(&path).ok();
     }
@@ -1243,10 +1093,10 @@ mod cached_tests {
 
     const BS: usize = 64;
 
-    fn cached_disk(frames: usize, policy: CachePolicy, mode: WriteMode) -> Rc<Disk> {
+    fn cached_disk(frames: usize, mode: WriteMode) -> Rc<Disk> {
         let disk = Disk::new_mem(BS);
         let budget = MemoryBudget::new(frames);
-        disk.enable_cache(&budget, frames, policy, mode).unwrap();
+        disk.enable_cache(&budget, frames, mode).unwrap();
         disk
     }
 
@@ -1258,7 +1108,7 @@ mod cached_tests {
 
     #[test]
     fn rereads_hit_the_pool_and_skip_physical_io() {
-        let disk = cached_disk(4, CachePolicy::Lru, WriteMode::Through);
+        let disk = cached_disk(4, WriteMode::Through);
         let id = block_of(&disk, 0xAB);
         let mut buf = [0u8; BS];
         for _ in 0..5 {
@@ -1276,7 +1126,7 @@ mod cached_tests {
 
     #[test]
     fn write_through_keeps_the_device_current_and_frames_coherent() {
-        let disk = cached_disk(2, CachePolicy::Lru, WriteMode::Through);
+        let disk = cached_disk(2, WriteMode::Through);
         let id = block_of(&disk, 0x11);
         let mut buf = [0u8; BS];
         disk.read_block(id, &mut buf, IoCat::RunRead).unwrap(); // frame now resident
@@ -1293,7 +1143,7 @@ mod cached_tests {
 
     #[test]
     fn write_back_coalesces_writes_until_flush() {
-        let disk = cached_disk(2, CachePolicy::Lru, WriteMode::Back);
+        let disk = cached_disk(2, WriteMode::Back);
         let id = disk.alloc_block();
         for round in 0..4u8 {
             disk.write_block(id, &[round; BS], IoCat::RunWrite).unwrap();
@@ -1317,7 +1167,7 @@ mod cached_tests {
 
     #[test]
     fn eviction_writes_back_dirty_victims_deterministically() {
-        let disk = cached_disk(1, CachePolicy::Lru, WriteMode::Back);
+        let disk = cached_disk(1, WriteMode::Back);
         let a = disk.alloc_block();
         let b = disk.alloc_block();
         disk.write_block(a, &[0xAA; BS], IoCat::DataStack).unwrap();
@@ -1349,20 +1199,18 @@ mod cached_tests {
         };
         let plain = Disk::new_mem(BS);
         run(&plain);
-        for policy in [CachePolicy::Lru, CachePolicy::Clock] {
-            for mode in [WriteMode::Through, WriteMode::Back] {
-                let cached = cached_disk(3, policy, mode);
-                run(&cached);
-                let p = plain.stats().snapshot();
-                let c = cached.stats().snapshot();
-                assert_eq!(p.reads(IoCat::RunRead), c.reads(IoCat::RunRead), "{policy}/{mode}");
-                assert_eq!(p.writes(IoCat::RunWrite), c.writes(IoCat::RunWrite), "{policy}/{mode}");
-                assert_eq!(p.grand_total(), c.grand_total(), "logical I/O is cache-invariant");
-                assert!(
-                    c.grand_total_physical() < c.grand_total(),
-                    "{policy}/{mode}: the pool must absorb some transfers"
-                );
-            }
+        for mode in [WriteMode::Through, WriteMode::Back] {
+            let cached = cached_disk(3, mode);
+            run(&cached);
+            let p = plain.stats().snapshot();
+            let c = cached.stats().snapshot();
+            assert_eq!(p.reads(IoCat::RunRead), c.reads(IoCat::RunRead), "{mode}");
+            assert_eq!(p.writes(IoCat::RunWrite), c.writes(IoCat::RunWrite), "{mode}");
+            assert_eq!(p.grand_total(), c.grand_total(), "logical I/O is cache-invariant");
+            assert!(
+                c.grand_total_physical() < c.grand_total(),
+                "{mode}: the pool must absorb some transfers"
+            );
         }
         // Uncached: physical mirrors logical exactly.
         let p = plain.stats().snapshot();
@@ -1371,73 +1219,8 @@ mod cached_tests {
     }
 
     #[test]
-    fn pins_protect_frames_and_unpin_on_drop() {
-        let disk = cached_disk(1, CachePolicy::Clock, WriteMode::Through);
-        let a = block_of(&disk, 1);
-        let b = block_of(&disk, 2);
-        let guard = disk.pin(a, IoCat::SortScratch).unwrap();
-        assert_eq!(guard.block(), a);
-        guard.with(|data| assert_eq!(data, [1u8; BS]));
-        assert_eq!(guard.data()[0], 1);
-        // The single frame is pinned: loading b cannot find a victim.
-        let mut buf = [0u8; BS];
-        let err = disk.read_block(b, &mut buf, IoCat::SortScratch).unwrap_err();
-        assert!(matches!(err, ExtError::AllFramesPinned { frames: 1 }));
-        assert!(matches!(
-            disk.free_block(a),
-            Err(ExtError::FramePinned { block }) if block == a
-        ));
-        drop(guard);
-        disk.read_block(b, &mut buf, IoCat::SortScratch).unwrap();
-        assert_eq!(buf, [2u8; BS]);
-        disk.free_block(a).unwrap();
-    }
-
-    #[test]
-    fn pin_mut_commit_forces_a_writeback() {
-        let disk = cached_disk(2, CachePolicy::Lru, WriteMode::Through);
-        let a = block_of(&disk, 0);
-        let before = disk.stats().snapshot();
-        let guard = disk.pin_mut(a, IoCat::SortScratch).unwrap();
-        guard.data_mut().copy_from_slice(&[0x5A; BS]);
-        assert_eq!(guard.data()[BS - 1], 0x5A);
-        guard.commit().unwrap();
-        let snap = disk.stats().snapshot();
-        let d = snap.since(&before);
-        assert_eq!(d.reads(IoCat::SortScratch), 1, "a pin charges one logical read");
-        assert_eq!(d.writes(IoCat::SortScratch), 1, "a mutable pin charges one logical write");
-        assert_eq!(d.phys_writes(IoCat::SortScratch), 1, "commit wrote the frame back");
-        assert_eq!(d.total_cache_writebacks(), 1);
-        // The frame is clean and unpinned: eviction needs no second write.
-        let b = block_of(&disk, 1);
-        let c = block_of(&disk, 2);
-        let mut buf = [0u8; BS];
-        disk.read_block(b, &mut buf, IoCat::RunRead).unwrap();
-        disk.read_block(c, &mut buf, IoCat::RunRead).unwrap();
-        disk.read_block(a, &mut buf, IoCat::RunRead).unwrap();
-        assert_eq!(buf, [0x5A; BS], "committed bytes survived eviction");
-    }
-
-    #[test]
-    fn pin_mut_dirty_frame_reaches_device_on_eviction() {
-        let disk = cached_disk(1, CachePolicy::Lru, WriteMode::Through);
-        let a = block_of(&disk, 0);
-        {
-            let guard = disk.pin_mut(a, IoCat::SortScratch).unwrap();
-            guard.data_mut()[0] = 0x77;
-        } // dropped without commit: frame stays dirty
-        let b = block_of(&disk, 1);
-        let mut buf = [0u8; BS];
-        // Loading b's frame evicts dirty a: that is the writeback.
-        disk.read_block(b, &mut buf, IoCat::RunRead).unwrap();
-        assert_eq!(disk.stats().snapshot().total_cache_writebacks(), 1);
-        disk.read_block(a, &mut buf, IoCat::RunRead).unwrap();
-        assert_eq!(buf[0], 0x77, "uncommitted pinned edit was written back on eviction");
-    }
-
-    #[test]
     fn free_block_invalidates_stale_frames() {
-        let disk = cached_disk(2, CachePolicy::Lru, WriteMode::Back);
+        let disk = cached_disk(2, WriteMode::Back);
         let a = disk.alloc_block();
         disk.write_block(a, &[0xEE; BS], IoCat::DataStack).unwrap();
         disk.free_block(a).unwrap();
@@ -1457,25 +1240,19 @@ mod cached_tests {
         let disk = Disk::new_mem(BS);
         assert!(!disk.cache_enabled());
         assert_eq!(disk.cache_capacity(), None);
-        assert!(matches!(disk.pin(0, IoCat::RunRead), Err(ExtError::CacheDisabled)));
-        assert!(matches!(disk.cache_flush(0), Err(ExtError::CacheDisabled)));
+        assert_eq!(disk.cache_mode(), None);
         disk.cache_flush_all().unwrap(); // no-op without a pool
         disk.disable_cache().unwrap(); // likewise
 
         let budget = MemoryBudget::new(8);
-        disk.enable_cache(&budget, 3, CachePolicy::Clock, WriteMode::Back).unwrap();
+        disk.enable_cache(&budget, 3, WriteMode::Back).unwrap();
         assert!(disk.cache_enabled());
         assert_eq!(disk.cache_capacity(), Some(3));
-        assert_eq!(disk.cache_policy_name(), Some("clock"));
         assert_eq!(disk.cache_mode(), Some(WriteMode::Back));
         assert_eq!(budget.used_frames(), 3);
 
         let id = block_of(&disk, 9);
         assert_eq!(disk.cache_resident(), 1);
-        let guard = disk.pin(id, IoCat::RunRead).unwrap();
-        assert!(matches!(disk.disable_cache(), Err(ExtError::FramePinned { .. })));
-        assert!(disk.cache_enabled(), "a failed disable leaves the pool up");
-        drop(guard);
         disk.disable_cache().unwrap();
         assert!(!disk.cache_enabled());
         assert_eq!(budget.used_frames(), 0, "frames returned to the budget");
@@ -1489,7 +1266,7 @@ mod cached_tests {
     fn budget_rejects_an_oversized_pool() {
         let disk = Disk::new_mem(BS);
         let budget = MemoryBudget::new(2);
-        let err = disk.enable_cache(&budget, 5, CachePolicy::Lru, WriteMode::Through).unwrap_err();
+        let err = disk.enable_cache(&budget, 5, WriteMode::Through).unwrap_err();
         assert!(matches!(err, ExtError::BudgetExceeded { requested: 5, free: 2 }));
         assert!(!disk.cache_enabled());
     }
@@ -1506,7 +1283,7 @@ mod cached_tests {
         let (disk, _inj) = Disk::new_faulty(Box::new(MemDevice::new(BS)), plan);
         disk.set_retry_policy(RetryPolicy::retries(2));
         let budget = MemoryBudget::new(1);
-        disk.enable_cache(&budget, 1, CachePolicy::Lru, WriteMode::Back).unwrap();
+        disk.enable_cache(&budget, 1, WriteMode::Back).unwrap();
 
         let a = disk.alloc_block();
         let b = disk.alloc_block();

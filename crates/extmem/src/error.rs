@@ -32,16 +32,9 @@ pub enum ExtError {
     /// A transfer kept failing after the retry policy's attempt budget.
     /// `last` is the error of the final attempt.
     RetriesExhausted { attempts: u32, last: Box<ExtError> },
-    /// A buffer-pool operation needed a block whose frame is pinned (e.g.
-    /// freeing a block while a `PinGuard` on it is alive).
-    FramePinned { block: u64 },
-    /// The buffer pool needed a victim frame but every frame is pinned.
-    AllFramesPinned { frames: usize },
-    /// A pin was requested on a disk whose buffer pool is not enabled.
-    CacheDisabled,
     /// The shadow-state sanitizer (see `shadow.rs`, enabled with
     /// `NEXSORT_SHADOW=1`) observed an operation that violates the
-    /// substrate's allocation / pin / budget discipline. `check` names the
+    /// substrate's allocation / budget discipline. `check` names the
     /// violated check (e.g. `read-after-free`); `block` is the offending
     /// block id (for `budget-frame-leak`, the number of leaked frames).
     ShadowViolation { check: &'static str, block: u64 },
@@ -94,9 +87,6 @@ impl ExtError {
             | ExtError::Corrupt(_)
             | ExtError::DoubleFree { .. }
             | ExtError::RetriesExhausted { .. }
-            | ExtError::FramePinned { .. }
-            | ExtError::AllFramesPinned { .. }
-            | ExtError::CacheDisabled
             | ExtError::ShadowViolation { .. }
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
@@ -123,9 +113,6 @@ impl ExtError {
             | ExtError::Corrupt(_)
             | ExtError::Io(_)
             | ExtError::DoubleFree { .. }
-            | ExtError::FramePinned { .. }
-            | ExtError::AllFramesPinned { .. }
-            | ExtError::CacheDisabled
             | ExtError::ShadowViolation { .. }
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
@@ -164,15 +151,6 @@ impl fmt::Display for ExtError {
             }
             ExtError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts; last error: {last}")
-            }
-            ExtError::FramePinned { block } => {
-                write!(f, "block {block} is pinned in the buffer pool")
-            }
-            ExtError::AllFramesPinned { frames } => {
-                write!(f, "all {frames} buffer-pool frames are pinned; cannot evict")
-            }
-            ExtError::CacheDisabled => {
-                write!(f, "buffer pool is not enabled on this disk")
             }
             ExtError::ShadowViolation { check, block } => {
                 write!(f, "shadow sanitizer caught {check} (block {block})")
@@ -215,9 +193,6 @@ impl std::error::Error for ExtError {
             | ExtError::Corrupt(_)
             | ExtError::ChecksumMismatch { .. }
             | ExtError::DoubleFree { .. }
-            | ExtError::FramePinned { .. }
-            | ExtError::AllFramesPinned { .. }
-            | ExtError::CacheDisabled
             | ExtError::ShadowViolation { .. }
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
@@ -277,19 +252,6 @@ mod tests {
         assert!(e.to_string().contains('4') && e.to_string().contains("block 5"));
         let src = std::error::Error::source(&e).expect("chains to the last error");
         assert!(src.to_string().contains("block 5"));
-    }
-
-    #[test]
-    fn pool_variants_display() {
-        let s = ExtError::FramePinned { block: 4 }.to_string();
-        assert!(s.contains("pinned") && s.contains('4'));
-        let s = ExtError::AllFramesPinned { frames: 2 }.to_string();
-        assert!(s.contains("pinned") && s.contains('2'));
-        let s = ExtError::CacheDisabled.to_string();
-        assert!(s.contains("not enabled"));
-        assert!(!ExtError::FramePinned { block: 0 }.is_transient());
-        assert!(!ExtError::AllFramesPinned { frames: 0 }.is_transient());
-        assert!(!ExtError::CacheDisabled.is_transient());
     }
 
     #[test]

@@ -228,7 +228,7 @@ mod pooled_tests {
     use crate::device::Disk;
     use crate::error::ExtError;
     use crate::extent::{ByteReader, ByteSink, ExtentReader, ExtentWriter};
-    use crate::pool::{CachePolicy, WriteMode};
+    use crate::pool::WriteMode;
     use crate::stats::IoCat;
     use std::rc::Rc;
 
@@ -272,21 +272,19 @@ mod pooled_tests {
         let plain = Disk::new_mem(32);
         let expect = merge_on(&plain);
         assert_eq!(expect, (0..128).collect::<Vec<u32>>());
-        for policy in [CachePolicy::Lru, CachePolicy::Clock] {
-            let cached = Disk::new_mem(32);
-            let cache_budget = MemoryBudget::new(16);
-            cached.enable_cache(&cache_budget, 16, policy, WriteMode::Back).unwrap();
-            let got = merge_on(&cached);
-            assert_eq!(got, expect, "{policy}: the pool must not change merge output");
-            let p = plain.stats().snapshot();
-            let c = cached.stats().snapshot();
-            assert_eq!(p.reads(IoCat::RunRead), c.reads(IoCat::RunRead), "{policy}");
-            assert_eq!(p.writes(IoCat::RunWrite), c.writes(IoCat::RunWrite), "{policy}");
-            assert!(
-                c.phys_reads(IoCat::RunRead) < c.reads(IoCat::RunRead),
-                "{policy}: fan-in reads must hit frames still warm from the run build"
-            );
-        }
+        let cached = Disk::new_mem(32);
+        let cache_budget = MemoryBudget::new(16);
+        cached.enable_cache(&cache_budget, 16, WriteMode::Back).unwrap();
+        let got = merge_on(&cached);
+        assert_eq!(got, expect, "the pool must not change merge output");
+        let p = plain.stats().snapshot();
+        let c = cached.stats().snapshot();
+        assert_eq!(p.reads(IoCat::RunRead), c.reads(IoCat::RunRead));
+        assert_eq!(p.writes(IoCat::RunWrite), c.writes(IoCat::RunWrite));
+        assert!(
+            c.phys_reads(IoCat::RunRead) < c.reads(IoCat::RunRead),
+            "fan-in reads must hit frames still warm from the run build"
+        );
     }
 }
 

@@ -21,10 +21,10 @@
 //! * [`FaultyDevice`] / [`ChecksummedDevice`] / [`RetryPolicy`]: deterministic
 //!   fault injection, corruption detection, and transparent retry of
 //!   transient failures (see the [`fault`](crate::FaultPlan) types);
-//! * the pinning buffer pool ([`Disk::enable_cache`], [`PinGuard`],
-//!   [`CachePolicy`], [`WriteMode`]): an optional page cache between the
-//!   accounting layer and the device, so *physical* transfers can drop below
-//!   the *logical* transfers the paper's analysis counts;
+//! * the LRU buffer pool ([`Disk::enable_cache`], [`WriteMode`]): an
+//!   optional page cache between the accounting layer and the device, so
+//!   *physical* transfers can drop below the *logical* transfers the paper's
+//!   analysis counts;
 //! * the crash-consistency layer ([`Journal`], [`recover`], [`CrashDevice`]):
 //!   a write-ahead manifest journal whose commit records land only after a
 //!   pool flush, replay with strict torn-tail rules, free-map
@@ -71,9 +71,7 @@ pub use fault::{
 };
 pub use journal::{Journal, JournalRecord, JournalStats};
 pub use kway::{KWayMerger, MergeStream, VecStream};
-pub use pool::{
-    CachePolicy, ClockPolicy, EvictionPolicy, LruPolicy, PinGuard, PinMutGuard, WriteMode,
-};
+pub use pool::WriteMode;
 pub use recovery::{fold_records, recover, RecoveredState};
 pub use repair::{RunParity, RunReader, ScrubReport};
 pub use run_store::{RunId, RunStore, RunWriter};

@@ -1,4 +1,4 @@
-//! The pinning buffer pool (page cache) between [`Disk`] and its device.
+//! The buffer pool (page cache) between [`Disk`] and its device.
 //!
 //! The paper's analysis gives the algorithm `M` blocks of internal memory and
 //! counts every block transfer; our substrate routes all of those transfers
@@ -13,76 +13,25 @@
 //! * [`PoolCore`] owns the frames (reserved from a
 //!   [`MemoryBudget`](crate::MemoryBudget) via a RAII
 //!   [`FrameGuard`](crate::FrameGuard)) and the block -> frame index;
-//! * eviction is pluggable behind [`EvictionPolicy`], with [`LruPolicy`] and
-//!   [`ClockPolicy`] provided and selectable by [`CachePolicy`];
+//! * eviction is exact LRU: every install and hit stamps the frame with a
+//!   monotone tick, and the victim is the occupied frame with the smallest
+//!   stamp;
 //! * writes follow a [`WriteMode`]: write-through keeps the device current on
 //!   every logical write, write-back defers dirty frames to eviction or an
-//!   explicit flush;
-//! * [`PinGuard`] / [`PinMutGuard`] give RAII access to a resident frame;
-//!   a pinned frame is never chosen as an eviction victim.
+//!   explicit flush.
 //!
 //! Determinism matters as much as performance here: the fault layer under
 //! the pool injects faults by physical operation index, so victim selection
-//! and flush order must be reproducible. The index is a `BTreeMap` and all
-//! bulk operations iterate in block order; policies are deterministic.
+//! and flush order must be reproducible. The index is a `BTreeMap`, all
+//! bulk operations iterate in block order, and LRU stamps are unique.
 
-use std::cell::{Ref, RefCell, RefMut};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
-use std::str::FromStr;
 
 use crate::budget::FrameGuard;
-use crate::device::Disk;
-use crate::error::{ExtError, Result};
 use crate::stats::IoCat;
-
-/// Which eviction policy a pool uses; the CLI-facing selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Least-recently-used: evict the frame untouched the longest.
-    #[default]
-    Lru,
-    /// CLOCK (second chance): one reference bit per frame and a sweeping
-    /// hand; a cheap LRU approximation with O(1) metadata per access.
-    Clock,
-}
-
-impl CachePolicy {
-    /// Short name used in flags and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CachePolicy::Lru => "lru",
-            CachePolicy::Clock => "clock",
-        }
-    }
-
-    /// Instantiate the policy for a pool of `frames` slots.
-    pub fn build(self, frames: usize) -> Box<dyn EvictionPolicy> {
-        match self {
-            CachePolicy::Lru => Box::new(LruPolicy::new(frames)),
-            CachePolicy::Clock => Box::new(ClockPolicy::new(frames)),
-        }
-    }
-}
-
-impl fmt::Display for CachePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for CachePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "lru" => Ok(CachePolicy::Lru),
-            "clock" => Ok(CachePolicy::Clock),
-            other => Err(format!("unknown cache policy {other:?} (expected lru or clock)")),
-        }
-    }
-}
 
 /// When a logical write reaches the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,129 +63,6 @@ impl fmt::Display for WriteMode {
     }
 }
 
-/// Chooses eviction victims among a pool's frame slots.
-///
-/// The pool calls `on_insert` when a block is installed in a slot,
-/// `on_access` on every hit, and `on_remove` when a slot is evicted or
-/// invalidated. `pick_victim` is consulted only when every slot is occupied;
-/// `evictable(slot)` is false for pinned frames, which must never be chosen.
-/// Implementations must be deterministic: the fault-injection layer below
-/// the pool schedules faults by physical operation index.
-pub trait EvictionPolicy {
-    /// The policy's report name.
-    fn name(&self) -> &'static str;
-    /// A block was installed in `slot`.
-    fn on_insert(&mut self, slot: usize);
-    /// The frame in `slot` was accessed (hit).
-    fn on_access(&mut self, slot: usize);
-    /// The frame in `slot` was evicted or invalidated.
-    fn on_remove(&mut self, slot: usize);
-    /// Choose an occupied, evictable slot to evict, or `None` if every
-    /// candidate is pinned.
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize>;
-}
-
-/// Exact least-recently-used eviction: every insert/access stamps the slot
-/// with a monotone tick; the victim is the evictable slot with the smallest
-/// stamp. O(frames) per eviction, O(1) per access -- fine at the pool sizes
-/// the model considers (a slice of `M`).
-#[derive(Debug)]
-pub struct LruPolicy {
-    stamps: Vec<u64>,
-    tick: u64,
-}
-
-const VACANT: u64 = u64::MAX;
-
-impl LruPolicy {
-    /// A policy for a pool of `frames` slots.
-    pub fn new(frames: usize) -> Self {
-        Self { stamps: vec![VACANT; frames], tick: 0 }
-    }
-
-    fn touch(&mut self, slot: usize) {
-        self.stamps[slot] = self.tick;
-        self.tick += 1;
-    }
-}
-
-impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn on_insert(&mut self, slot: usize) {
-        self.touch(slot);
-    }
-
-    fn on_access(&mut self, slot: usize) {
-        self.touch(slot);
-    }
-
-    fn on_remove(&mut self, slot: usize) {
-        self.stamps[slot] = VACANT;
-    }
-
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.stamps
-            .iter()
-            .enumerate()
-            .filter(|&(slot, &stamp)| stamp != VACANT && evictable(slot))
-            .min_by_key(|&(_, &stamp)| stamp)
-            .map(|(slot, _)| slot)
-    }
-}
-
-/// CLOCK (second-chance) eviction: a reference bit per slot and a hand that
-/// sweeps the slots, clearing set bits and evicting the first evictable slot
-/// whose bit is clear.
-#[derive(Debug)]
-pub struct ClockPolicy {
-    referenced: Vec<bool>,
-    hand: usize,
-}
-
-impl ClockPolicy {
-    /// A policy for a pool of `frames` slots.
-    pub fn new(frames: usize) -> Self {
-        Self { referenced: vec![false; frames], hand: 0 }
-    }
-}
-
-impl EvictionPolicy for ClockPolicy {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn on_insert(&mut self, slot: usize) {
-        self.referenced[slot] = true;
-    }
-
-    fn on_access(&mut self, slot: usize) {
-        self.referenced[slot] = true;
-    }
-
-    fn on_remove(&mut self, _slot: usize) {}
-
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        let n = self.referenced.len();
-        // Two sweeps clear every set bit; one more step reaches the victim.
-        for _ in 0..=2 * n {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !evictable(slot) {
-                continue;
-            }
-            if self.referenced[slot] {
-                self.referenced[slot] = false;
-            } else {
-                return Some(slot);
-            }
-        }
-        None
-    }
-}
-
 struct Frame {
     block: u64,
     data: Rc<RefCell<Vec<u8>>>,
@@ -248,7 +74,8 @@ struct Frame {
     /// Category the eventual writeback is charged to (the category of the
     /// logical write that dirtied the frame).
     cat: IoCat,
-    pins: u32,
+    /// Tick of the last install or hit: the frame's place in the LRU order.
+    stamp: u64,
 }
 
 /// How the pool hands out a slot for a new block (see
@@ -265,24 +92,19 @@ pub(crate) enum SlotAcquire {
 
 /// The frame table of a buffer pool. Owned by [`Disk`](crate::Disk); all
 /// physical I/O and stats accounting stay in the disk layer, keeping this
-/// type purely about residency, dirtiness, pinning, and victim choice.
+/// type purely about residency, dirtiness, and LRU victim choice.
 pub(crate) struct PoolCore {
     frames: Vec<Frame>,
     index: BTreeMap<u64, usize>,
     free: Vec<usize>,
-    policy: Box<dyn EvictionPolicy>,
+    /// Next LRU stamp; bumped on every install and hit.
+    tick: u64,
     mode: WriteMode,
-    policy_kind: &'static str,
     _reservation: FrameGuard,
 }
 
 impl PoolCore {
-    pub(crate) fn new(
-        reservation: FrameGuard,
-        block_size: usize,
-        policy: Box<dyn EvictionPolicy>,
-        mode: WriteMode,
-    ) -> Self {
+    pub(crate) fn new(reservation: FrameGuard, block_size: usize, mode: WriteMode) -> Self {
         let capacity = reservation.frames();
         assert!(capacity > 0, "a buffer pool needs at least one frame");
         let frames = (0..capacity)
@@ -291,21 +113,12 @@ impl PoolCore {
                 data: Rc::new(RefCell::new(vec![0u8; block_size])),
                 dirty_len: None,
                 cat: IoCat::SortScratch,
-                pins: 0,
+                stamp: 0,
             })
             .collect();
         // Free slots are popped from the back; keep ascending order of use.
         let free = (0..capacity).rev().collect();
-        let policy_kind = policy.name();
-        Self {
-            frames,
-            index: BTreeMap::new(),
-            free,
-            policy,
-            mode,
-            policy_kind,
-            _reservation: reservation,
-        }
+        Self { frames, index: BTreeMap::new(), free, tick: 0, mode, _reservation: reservation }
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -316,14 +129,16 @@ impl PoolCore {
         self.mode
     }
 
-    pub(crate) fn policy_name(&self) -> &'static str {
-        self.policy_kind
+    /// Mark `slot` as the most recently used frame.
+    fn touch(&mut self, slot: usize) {
+        self.frames[slot].stamp = self.tick;
+        self.tick += 1;
     }
 
-    /// Find `block`'s slot and record the access with the policy.
+    /// Find `block`'s slot and record the access in the LRU order.
     pub(crate) fn lookup(&mut self, block: u64) -> Option<usize> {
         let slot = *self.index.get(&block)?;
-        self.policy.on_access(slot);
+        self.touch(slot);
         Some(slot)
     }
 
@@ -338,11 +153,6 @@ impl PoolCore {
 
     pub(crate) fn slot_block(&self, slot: usize) -> u64 {
         self.frames[slot].block
-    }
-
-    /// Lowest-numbered pinned block, if any frame is pinned.
-    pub(crate) fn first_pinned_block(&self) -> Option<u64> {
-        self.index.iter().find(|&(_, &slot)| self.frames[slot].pins > 0).map(|(&b, _)| b)
     }
 
     pub(crate) fn dirty_of(&self, slot: usize) -> Option<(usize, IoCat)> {
@@ -363,52 +173,32 @@ impl PoolCore {
         self.frames[slot].dirty_len = None;
     }
 
-    pub(crate) fn pin(&mut self, slot: usize) {
-        self.frames[slot].pins += 1;
-    }
-
-    /// Drop one pin on `block`'s frame (no-op if the block is not resident,
-    /// which cannot happen while a guard is alive).
-    pub(crate) fn unpin_block(&mut self, block: u64) {
-        if let Some(&slot) = self.index.get(&block) {
-            let f = &mut self.frames[slot];
-            f.pins = f.pins.saturating_sub(1);
-        }
-    }
-
     /// Plan how to obtain a slot for a new block: a free slot if one exists,
-    /// otherwise an eviction victim. Nothing is detached yet for the `Evict`
-    /// case; the caller completes (or abandons) the plan.
-    pub(crate) fn acquire_plan(&mut self) -> Result<SlotAcquire> {
+    /// otherwise the least recently used frame. Nothing is detached yet for
+    /// the `Evict` case; the caller completes (or abandons) the plan.
+    pub(crate) fn acquire_plan(&mut self) -> SlotAcquire {
         if let Some(slot) = self.free.pop() {
-            return Ok(SlotAcquire::Free(slot));
+            return SlotAcquire::Free(slot);
         }
-        let frames = &self.frames;
-        let evictable = |slot: usize| frames[slot].pins == 0 && frames[slot].block != u64::MAX;
-        match self.policy.pick_victim(&evictable) {
-            Some(slot) => {
-                let f = &self.frames[slot];
-                Ok(SlotAcquire::Evict {
-                    slot,
-                    block: f.block,
-                    dirty: f.dirty_len.map(|len| (len, f.cat)),
-                    data: Rc::clone(&f.data),
-                })
-            }
-            None => Err(ExtError::AllFramesPinned { frames: self.capacity() }),
+        // With no free slot every frame is occupied (and there is at least
+        // one frame), so the smallest stamp is the LRU victim.
+        let slot = (0..self.frames.len()).min_by_key(|&s| self.frames[s].stamp).unwrap_or_default();
+        let f = &self.frames[slot];
+        SlotAcquire::Evict {
+            slot,
+            block: f.block,
+            dirty: f.dirty_len.map(|len| (len, f.cat)),
+            data: Rc::clone(&f.data),
         }
     }
 
     /// Remove the mapping of `slot` (after any writeback), leaving the slot
     /// loose for `install` or `release_slot`.
     pub(crate) fn detach(&mut self, slot: usize) {
-        let block = self.frames[slot].block;
-        self.index.remove(&block);
-        self.policy.on_remove(slot);
         let f = &mut self.frames[slot];
+        self.index.remove(&f.block);
         f.block = u64::MAX;
         f.dirty_len = None;
-        f.pins = 0;
     }
 
     /// Return a loose slot to the free list (e.g. after a failed load).
@@ -416,27 +206,22 @@ impl PoolCore {
         self.free.push(slot);
     }
 
-    /// Map `block` into the loose `slot` (clean, unpinned).
+    /// Map `block` into the loose `slot` (clean, most recently used).
     pub(crate) fn install(&mut self, slot: usize, block: u64) {
         let f = &mut self.frames[slot];
         f.block = block;
         f.dirty_len = None;
-        f.pins = 0;
         self.index.insert(block, slot);
-        self.policy.on_insert(slot);
+        self.touch(slot);
     }
 
-    /// Drop `block`'s frame without writing it back (the block is dead, e.g.
-    /// freed). Errors if the frame is pinned.
-    pub(crate) fn invalidate(&mut self, block: u64) -> Result<()> {
+    /// Drop `block`'s frame, if resident, without writing it back (the
+    /// block is dead, e.g. freed).
+    pub(crate) fn invalidate(&mut self, block: u64) {
         if let Some(&slot) = self.index.get(&block) {
-            if self.frames[slot].pins > 0 {
-                return Err(ExtError::FramePinned { block });
-            }
             self.detach(slot);
             self.release_slot(slot);
         }
-        Ok(())
     }
 
     /// Slots holding dirty frames, in ascending block order (deterministic
@@ -445,17 +230,14 @@ impl PoolCore {
         self.index.values().copied().filter(|&slot| self.frames[slot].dirty_len.is_some()).collect()
     }
 
-    /// Drop every resident frame without writing anything back, clearing any
-    /// pins. Crash recovery only: after a simulated crash the device image is
-    /// the authoritative state, so frame contents (dirty or not) are dead.
+    /// Drop every resident frame without writing anything back. Crash
+    /// recovery only: after a simulated crash the device image is the
+    /// authoritative state, so frame contents (dirty or not) are dead.
     pub(crate) fn purge_all(&mut self) {
-        let blocks: Vec<u64> = self.index.keys().copied().collect();
-        for block in blocks {
-            if let Some(&slot) = self.index.get(&block) {
-                self.frames[slot].pins = 0;
-                self.detach(slot);
-                self.release_slot(slot);
-            }
+        let slots: Vec<usize> = self.index.values().copied().collect();
+        for slot in slots {
+            self.detach(slot);
+            self.release_slot(slot);
         }
     }
 
@@ -465,166 +247,44 @@ impl PoolCore {
     }
 }
 
-/// RAII read pin on a resident block frame (see [`Disk::pin`]).
-///
-/// While the guard is alive the frame cannot be evicted or invalidated;
-/// dropping it unpins. The data borrow is per-call, so multiple `PinGuard`s
-/// on the same block coexist.
-pub struct PinGuard {
-    disk: Rc<Disk>,
-    block: u64,
-    data: Rc<RefCell<Vec<u8>>>,
-}
-
-impl PinGuard {
-    pub(crate) fn new(disk: Rc<Disk>, block: u64, data: Rc<RefCell<Vec<u8>>>) -> Self {
-        Self { disk, block, data }
-    }
-
-    /// The pinned block's id.
-    pub fn block(&self) -> u64 {
-        self.block
-    }
-
-    /// Borrow the block contents.
-    pub fn data(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.data.borrow(), Vec::as_slice)
-    }
-
-    /// Run `f` over the block contents.
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.data.borrow())
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        self.disk.cache_unpin(self.block, true);
-    }
-}
-
-impl fmt::Debug for PinGuard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PinGuard").field("block", &self.block).finish()
-    }
-}
-
-/// RAII mutable pin on a resident block frame (see [`Disk::pin_mut`]).
-///
-/// The frame is marked dirty for its full block when the guard is created;
-/// edits land in the frame immediately. In both write modes the device sees
-/// them at eviction, [`Disk::cache_flush_all`](crate::Disk::cache_flush_all),
-/// or an explicit [`PinMutGuard::commit`] -- unpinning itself never performs
-/// I/O, so dropping the guard cannot fail.
-pub struct PinMutGuard {
-    disk: Rc<Disk>,
-    block: u64,
-    data: Rc<RefCell<Vec<u8>>>,
-}
-
-impl PinMutGuard {
-    pub(crate) fn new(disk: Rc<Disk>, block: u64, data: Rc<RefCell<Vec<u8>>>) -> Self {
-        Self { disk, block, data }
-    }
-
-    /// The pinned block's id.
-    pub fn block(&self) -> u64 {
-        self.block
-    }
-
-    /// Borrow the block contents.
-    pub fn data(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.data.borrow(), Vec::as_slice)
-    }
-
-    /// Mutably borrow the block contents.
-    pub fn data_mut(&self) -> RefMut<'_, [u8]> {
-        RefMut::map(self.data.borrow_mut(), Vec::as_mut_slice)
-    }
-
-    /// Unpin and write the frame to the device now (one physical write).
-    /// The write-through analogue for pinned edits.
-    pub fn commit(self) -> Result<()> {
-        // Drop runs afterwards and unpins; flushing first keeps the frame
-        // pinned during its own writeback.
-        self.disk.cache_flush(self.block)
-    }
-}
-
-impl Drop for PinMutGuard {
-    fn drop(&mut self) {
-        self.disk.cache_unpin(self.block, false);
-    }
-}
-
-impl fmt::Debug for PinMutGuard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PinMutGuard").field("block", &self.block).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pool(frames: usize, mode: WriteMode) -> (crate::MemoryBudget, PoolCore) {
+        let budget = crate::MemoryBudget::new(4);
+        let reservation = budget.reserve(frames).unwrap();
+        (budget, PoolCore::new(reservation, 64, mode))
+    }
+
+    /// Take a free slot and map `block` into it.
+    fn fill(pc: &mut PoolCore, block: u64) -> usize {
+        let SlotAcquire::Free(slot) = pc.acquire_plan() else { panic!("pool has a free slot") };
+        pc.install(slot, block);
+        slot
+    }
+
+    fn victim(pc: &mut PoolCore) -> u64 {
+        match pc.acquire_plan() {
+            SlotAcquire::Evict { block, .. } => block,
+            SlotAcquire::Free(_) => panic!("pool is full"),
+        }
+    }
+
     #[test]
-    fn cache_policy_parses_and_prints() {
-        assert_eq!("lru".parse::<CachePolicy>().unwrap(), CachePolicy::Lru);
-        assert_eq!("clock".parse::<CachePolicy>().unwrap(), CachePolicy::Clock);
-        assert!("fifo".parse::<CachePolicy>().is_err());
-        assert_eq!(CachePolicy::Lru.to_string(), "lru");
-        assert_eq!(CachePolicy::Clock.to_string(), "clock");
+    fn pool_core_tracks_residency_and_dirt() {
         assert_eq!(WriteMode::Through.to_string(), "write-through");
         assert_eq!(WriteMode::Back.to_string(), "write-back");
-        assert_eq!(CachePolicy::default(), CachePolicy::Lru);
         assert_eq!(WriteMode::default(), WriteMode::Through);
-    }
 
-    #[test]
-    fn lru_evicts_least_recently_used_and_respects_pins() {
-        let mut p = LruPolicy::new(3);
-        p.on_insert(0);
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_access(0); // order now: 1, 2, 0
-        assert_eq!(p.pick_victim(&|_| true), Some(1));
-        assert_eq!(p.pick_victim(&|s| s != 1), Some(2));
-        assert_eq!(p.pick_victim(&|_| false), None);
-        p.on_remove(1);
-        assert_eq!(p.pick_victim(&|_| true), Some(2), "vacant slots are not victims");
-    }
-
-    #[test]
-    fn clock_gives_referenced_frames_a_second_chance() {
-        let mut p = ClockPolicy::new(3);
-        p.on_insert(0);
-        p.on_insert(1);
-        p.on_insert(2);
-        // First sweep clears all bits, then slot 0 is the victim.
-        assert_eq!(p.pick_victim(&|_| true), Some(0));
-        // Re-reference slot 1: the hand (at 1) clears it and takes slot 2.
-        p.on_access(1);
-        assert_eq!(p.pick_victim(&|_| true), Some(2));
-        assert_eq!(p.pick_victim(&|_| false), None, "all pinned: no victim");
-    }
-
-    #[test]
-    fn pool_core_tracks_residency_dirt_and_pins() {
-        let budget = crate::MemoryBudget::new(4);
-        let reservation = budget.reserve(2).unwrap();
-        let mut pc = PoolCore::new(reservation, 64, CachePolicy::Lru.build(2), WriteMode::Back);
+        let (budget, mut pc) = pool(2, WriteMode::Back);
         assert_eq!(pc.capacity(), 2);
+        assert_eq!(pc.mode(), WriteMode::Back);
         assert_eq!(pc.resident(), 0);
         assert_eq!(budget.used_frames(), 2, "pool frames stay reserved");
 
-        let SlotAcquire::Free(s0) = pc.acquire_plan().unwrap() else {
-            panic!("first acquire must find a free slot")
-        };
-        pc.install(s0, 10);
-        let SlotAcquire::Free(s1) = pc.acquire_plan().unwrap() else {
-            panic!("second acquire must find a free slot")
-        };
-        pc.install(s1, 20);
+        let s0 = fill(&mut pc, 10);
+        let s1 = fill(&mut pc, 20);
         assert_eq!(pc.resident(), 2);
         assert_eq!(pc.lookup(10), Some(s0));
         assert_eq!(pc.peek(99), None);
@@ -634,32 +294,45 @@ mod tests {
         assert_eq!(pc.dirty_of(s1), Some((16, IoCat::RunWrite)));
         assert_eq!(pc.dirty_slots_in_block_order(), vec![s1]);
 
-        // Full pool: the next acquire plans an eviction; block 20 was touched
-        // more recently via mark-free lookup of 10 above, so 20 is *not* LRU.
-        match pc.acquire_plan().unwrap() {
-            SlotAcquire::Evict { block, .. } => assert_eq!(block, 20, "10 was re-accessed"),
+        // Full pool: the next acquire plans an eviction of the dirty frame,
+        // reporting its writeback obligation.
+        match pc.acquire_plan() {
+            SlotAcquire::Evict { slot, block, dirty, .. } => {
+                assert_eq!((slot, block, dirty), (s1, 20, Some((16, IoCat::RunWrite))));
+            }
             SlotAcquire::Free(_) => panic!("pool is full"),
         }
 
-        // Pins exclude a frame from eviction and block invalidation.
-        pc.pin(s1);
-        match pc.acquire_plan().unwrap() {
-            SlotAcquire::Evict { block, .. } => assert_eq!(block, 10),
-            SlotAcquire::Free(_) => panic!("pool is full"),
-        }
-        assert!(matches!(pc.invalidate(20), Err(ExtError::FramePinned { block: 20 })));
-        assert_eq!(pc.first_pinned_block(), Some(20));
-        pc.unpin_block(20);
-        pc.invalidate(20).unwrap();
+        // Invalidation drops the frame unwritten and frees its slot.
+        pc.invalidate(20);
+        pc.invalidate(99); // not resident: a no-op
         assert_eq!(pc.resident(), 1);
+        assert!(pc.dirty_slots_in_block_order().is_empty());
+        assert_eq!(fill(&mut pc, 30), s1);
 
-        // With every remaining frame pinned, acquire fails loudly.
-        let s = pc.peek(10).unwrap();
-        pc.pin(s);
-        // One slot free (from the invalidation) -- consume it first.
-        let SlotAcquire::Free(f) = pc.acquire_plan().unwrap() else { panic!("free slot") };
-        pc.install(f, 30);
-        pc.pin(f);
-        assert!(matches!(pc.acquire_plan(), Err(ExtError::AllFramesPinned { frames: 2 })));
+        pc.purge_all();
+        assert_eq!(pc.resident(), 0);
+        drop(pc);
+        assert_eq!(budget.used_frames(), 0, "frames return to the budget");
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recently_used_frame() {
+        let (_budget, mut pc) = pool(3, WriteMode::Through);
+        fill(&mut pc, 0);
+        fill(&mut pc, 1);
+        fill(&mut pc, 2);
+        pc.lookup(0); // order now: 1, 2, 0
+        assert_eq!(victim(&mut pc), 1);
+        // `peek` is not an access: the order is unchanged.
+        pc.peek(1);
+        assert_eq!(victim(&mut pc), 1);
+        // Evicting 1 and installing 3 makes 3 the newest; 2 is next out.
+        let SlotAcquire::Evict { slot, .. } = pc.acquire_plan() else { panic!("pool is full") };
+        pc.detach(slot);
+        pc.install(slot, 3);
+        assert_eq!(victim(&mut pc), 2);
+        pc.lookup(2);
+        assert_eq!(victim(&mut pc), 0);
     }
 }

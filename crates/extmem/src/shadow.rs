@@ -3,9 +3,8 @@
 //! Native tooling (ASan, Miri, the race detector) cannot see through a
 //! *simulated* block device: to the host allocator a freed block is still
 //! perfectly valid memory. `ShadowState` closes that gap by mirroring, per
-//! block, the allocation state and pin discipline that
-//! [`Disk`](crate::Disk) is supposed to maintain -- and
-//! failing loudly (as [`ExtError::ShadowViolation`]) the moment an operation
+//! block, the allocation state that [`Disk`](crate::Disk) is supposed to
+//! maintain -- and failing loudly (as [`ExtError::ShadowViolation`]) the moment an operation
 //! contradicts the mirror.
 //!
 //! Checks:
@@ -15,9 +14,6 @@
 //! - **read-after-free / write-after-free** -- a logical access to a block
 //!   after `free_block`, before any reallocation of the id. The devices
 //!   themselves cannot catch this: a freed block id is still in range.
-//! - **write-to-pinned-shared** -- a logical write (or exclusive pin) of a
-//!   block while a shared [`PinGuard`](crate::PinGuard) on it is alive,
-//!   which would mutate bytes a reader holds borrowed.
 //! - **budget-frame-leak** -- at pool teardown (when the pool's frame
 //!   reservation guard drops), the cache's [`MemoryBudget`] did not return
 //!   to its enable-time baseline: frames leaked.
@@ -28,7 +24,7 @@
 //! When disabled it costs one `Option` check per logical transfer.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::budget::MemoryBudget;
 use crate::error::{ExtError, Result};
@@ -42,10 +38,9 @@ enum BlockState {
     Freed,
 }
 
-/// Mirror of the allocation / pin discipline of one [`Disk`].
+/// Mirror of the allocation discipline of one [`Disk`].
 ///
-/// All methods are cheap (`BTreeMap`/`BTreeSet` operations keyed by block
-/// id) and deterministic, so enabling the sanitizer never perturbs the
+/// All methods are cheap (`BTreeMap` operations keyed by block id) and deterministic, so enabling the sanitizer never perturbs the
 /// sequence of transfers -- it only observes it.
 ///
 /// [`Disk`]: crate::Disk
@@ -55,10 +50,6 @@ pub struct ShadowState {
     /// allocation history is unknown, so they are treated as allocated.
     preexisting: u64,
     state: RefCell<BTreeMap<u64, BlockState>>,
-    /// Live shared pin count per block (from [`crate::PinGuard`]).
-    shared_pins: RefCell<BTreeMap<u64, usize>>,
-    /// Blocks with a live exclusive pin (from [`crate::PinMutGuard`]).
-    excl_pins: RefCell<BTreeSet<u64>>,
     /// The cache's budget and its `used_frames()` baseline at enable time.
     budget_watch: RefCell<Option<(MemoryBudget, usize)>>,
 }
@@ -67,13 +58,7 @@ impl ShadowState {
     /// A sanitizer attached to a device that currently has `preexisting`
     /// blocks (their history is unknown and is not checked).
     pub fn new(preexisting: u64) -> Self {
-        Self {
-            preexisting,
-            state: RefCell::new(BTreeMap::new()),
-            shared_pins: RefCell::new(BTreeMap::new()),
-            excl_pins: RefCell::new(BTreeSet::new()),
-            budget_watch: RefCell::new(None),
-        }
+        Self { preexisting, state: RefCell::new(BTreeMap::new()), budget_watch: RefCell::new(None) }
     }
 
     /// Construct only when `NEXSORT_SHADOW=1` is set in the environment.
@@ -100,14 +85,9 @@ impl ShadowState {
         self.check_state(id, total, "read-after-free", "use-before-alloc")
     }
 
-    /// Validate a logical write of `id`: allocation state plus the pin
-    /// discipline (no shared pin may be alive).
+    /// Validate a logical write of `id` on a device with `total` blocks.
     pub fn check_write(&self, id: u64, total: u64) -> Result<()> {
-        self.check_state(id, total, "write-after-free", "use-before-alloc")?;
-        if self.shared_pins.borrow().get(&id).copied().unwrap_or(0) > 0 {
-            return Err(ExtError::ShadowViolation { check: "write-to-pinned-shared", block: id });
-        }
-        Ok(())
+        self.check_state(id, total, "write-after-free", "use-before-alloc")
     }
 
     fn check_state(
@@ -127,31 +107,6 @@ impl ShadowState {
             None if id < total => Err(ExtError::ShadowViolation { check: before_alloc, block: id }),
             // Out of range: the device itself reports `BadBlock`.
             None => Ok(()),
-        }
-    }
-
-    /// Record a new pin on `id` (`shared` distinguishes `PinGuard` from
-    /// `PinMutGuard`).
-    pub fn note_pin(&self, id: u64, shared: bool) {
-        if shared {
-            *self.shared_pins.borrow_mut().entry(id).or_insert(0) += 1;
-        } else {
-            self.excl_pins.borrow_mut().insert(id);
-        }
-    }
-
-    /// Record that a pin on `id` was dropped.
-    pub fn note_unpin(&self, id: u64, shared: bool) {
-        if shared {
-            let mut pins = self.shared_pins.borrow_mut();
-            if let Some(n) = pins.get_mut(&id) {
-                *n -= 1;
-                if *n == 0 {
-                    pins.remove(&id);
-                }
-            }
-        } else {
-            self.excl_pins.borrow_mut().remove(&id);
         }
     }
 
@@ -216,23 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_pins_block_writes_until_released() {
-        let sh = ShadowState::new(0);
-        sh.note_alloc(1);
-        sh.note_pin(1, true);
-        sh.note_pin(1, true);
-        assert_eq!(violation_check(sh.check_write(1, 2)), "write-to-pinned-shared");
-        sh.note_unpin(1, true);
-        assert_eq!(violation_check(sh.check_write(1, 2)), "write-to-pinned-shared");
-        sh.note_unpin(1, true);
-        assert!(sh.check_write(1, 2).is_ok());
-        // Exclusive pins do not forbid the owner's writes.
-        sh.note_pin(1, false);
-        assert!(sh.check_write(1, 2).is_ok());
-        sh.note_unpin(1, false);
-    }
-
-    #[test]
     fn negative_a_leaked_frame_reservation_trips_the_budget_watch() {
         let budget = MemoryBudget::new(8);
         let sh = ShadowState::new(0);
@@ -250,7 +188,7 @@ mod tests {
     mod through_the_disk {
         use super::violation_check;
         use crate::budget::MemoryBudget;
-        use crate::pool::{CachePolicy, WriteMode};
+        use crate::pool::WriteMode;
         use crate::stats::IoCat;
         use crate::Disk;
 
@@ -274,30 +212,11 @@ mod tests {
         }
 
         #[test]
-        fn negative_write_to_shared_pinned_block_trips() {
-            let disk = Disk::new_mem(64);
-            disk.enable_shadow();
-            let budget = MemoryBudget::new(4);
-            disk.enable_cache(&budget, 2, CachePolicy::Lru, WriteMode::Through).unwrap();
-            let id = disk.alloc_block();
-            disk.write_block(id, &[1u8; 64], IoCat::RunWrite).unwrap();
-            let pin = disk.pin(id, IoCat::RunRead).unwrap();
-            let err = disk.write_block(id, &[2u8; 64], IoCat::RunWrite).unwrap_err();
-            assert_eq!(violation_check(Err(err)), "write-to-pinned-shared");
-            let err = disk.pin_mut(id, IoCat::RunWrite).unwrap_err();
-            assert_eq!(violation_check(Err(err)), "write-to-pinned-shared");
-            drop(pin);
-            // The pin is gone: the same write is legal again.
-            disk.write_block(id, &[2u8; 64], IoCat::RunWrite).unwrap();
-            disk.disable_cache().unwrap();
-        }
-
-        #[test]
         fn negative_budget_frame_leak_at_pool_teardown_trips() {
             let disk = Disk::new_mem(64);
             disk.enable_shadow();
             let budget = MemoryBudget::new(4);
-            disk.enable_cache(&budget, 2, CachePolicy::Lru, WriteMode::Through).unwrap();
+            disk.enable_cache(&budget, 2, WriteMode::Through).unwrap();
             // A reservation against the cache's budget that outlives the
             // pool is a leak the teardown check must catch.
             let leak = budget.reserve(1).expect("frames available");
@@ -311,7 +230,7 @@ mod tests {
             let disk = Disk::new_mem(64);
             disk.enable_shadow();
             let budget = MemoryBudget::new(4);
-            disk.enable_cache(&budget, 2, CachePolicy::Lru, WriteMode::Back).unwrap();
+            disk.enable_cache(&budget, 2, WriteMode::Back).unwrap();
             let a = disk.alloc_block();
             let b = disk.alloc_block();
             disk.write_block(a, &[1u8; 64], IoCat::RunWrite).unwrap();

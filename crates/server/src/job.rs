@@ -16,8 +16,6 @@
 
 use std::path::{Path, PathBuf};
 
-use nexsort_extmem::CachePolicy;
-
 use crate::json::{self, b, n, obj, s, Value};
 
 /// Where a submitted job's input bytes come from.
@@ -103,8 +101,6 @@ pub struct JobSpec {
     /// Page-cache frames (0 = no cache). Leased from the global budget on
     /// top of `mem_frames`.
     pub cache_frames: usize,
-    /// Page-cache eviction policy.
-    pub cache_policy: CachePolicy,
     /// Write-back caching instead of write-through.
     pub write_back: bool,
     /// Parity blocks per K data blocks of each sealed run (0 = none).
@@ -133,7 +129,6 @@ impl Default for JobSpec {
             depth_limit: None,
             degeneration: false,
             cache_frames: 0,
-            cache_policy: CachePolicy::Lru,
             write_back: false,
             parity_group: 0,
             pretty: false,
@@ -219,23 +214,6 @@ pub struct Manifest {
     pub resumed: bool,
 }
 
-/// Cache-policy wire names.
-pub fn policy_name(policy: CachePolicy) -> &'static str {
-    match policy {
-        CachePolicy::Lru => "lru",
-        CachePolicy::Clock => "clock",
-    }
-}
-
-/// Parse a cache-policy wire name.
-pub fn policy_from_name(name: &str) -> Result<CachePolicy, String> {
-    match name {
-        "lru" => Ok(CachePolicy::Lru),
-        "clock" => Ok(CachePolicy::Clock),
-        other => Err(format!("unknown cache policy {other:?} (expected lru, clock)")),
-    }
-}
-
 fn opt_num(v: Option<u64>) -> Value {
     match v {
         Some(x) => n(x),
@@ -267,7 +245,6 @@ pub fn spec_to_value(spec: &JobSpec) -> Value {
         ("depth_limit", opt_num(spec.depth_limit.map(u64::from))),
         ("degeneration", b(spec.degeneration)),
         ("cache_frames", n(spec.cache_frames as u64)),
-        ("cache_policy", s(policy_name(spec.cache_policy))),
         ("write_back", b(spec.write_back)),
         ("parity_group", n(spec.parity_group as u64)),
         ("pretty", b(spec.pretty)),
@@ -278,27 +255,34 @@ pub fn spec_to_value(spec: &JobSpec) -> Value {
 /// Whether a spec value equals a retired field's old default.
 type IsOldDefault = fn(&Value) -> bool;
 
-/// Spec fields of the removed I/O scheduler and device striping, each with
-/// the test for its old default. Manifests written before the removal
-/// carry all four at their defaults, which are still accepted.
-const RETIRED_FIELDS: [(&str, IsOldDefault); 4] = [
-    ("io_workers", |x| x.as_u64() == Some(0)),
-    ("prefetch_depth", |x| x.as_u64() == Some(0)),
-    ("write_behind", |x| x.as_bool() == Some(false)),
-    ("stripe", |x| matches!(x.as_u64(), Some(0 | 1))),
+/// A retired spec field: its name, the test for its old default, and why
+/// it was retired.
+type Retired = (&'static str, IsOldDefault, &'static str);
+
+/// Spec fields of removed features. Manifests written before a removal
+/// carry the field at its old default, which is still accepted.
+static RETIRED_FIELDS: [Retired; 5] = [
+    ("io_workers", |x| x.as_u64() == Some(0), "the I/O scheduler was removed"),
+    ("prefetch_depth", |x| x.as_u64() == Some(0), "the I/O scheduler was removed"),
+    ("write_behind", |x| x.as_bool() == Some(false), "the I/O scheduler was removed"),
+    ("stripe", |x| matches!(x.as_u64(), Some(0 | 1)), "device striping was removed"),
+    ("cache_policy", |x| x.as_str() == Some("lru"), "the buffer pool only evicts LRU"),
 ];
 
 /// The first retired field `v` sets to anything but its old default. Such
 /// a spec asks for a configuration that no longer exists -- a striped job's
 /// blocks live in `device.bin.0..N-1`, not `device.bin` -- so it must be
 /// refused rather than run (or resumed) without it.
+fn retired_entry(v: &Value) -> Option<&'static Retired> {
+    RETIRED_FIELDS.iter().find(|(key, is_default, _)| {
+        v.get(key).is_some_and(|x| !matches!(x, Value::Null) && !is_default(x))
+    })
+}
+
+/// The name of the first retired field `v` sets to anything but its old
+/// default (see [`spec_from_value`]).
 pub fn retired_field(v: &Value) -> Option<&'static str> {
-    RETIRED_FIELDS
-        .iter()
-        .find(|(key, is_default)| {
-            v.get(key).is_some_and(|x| !matches!(x, Value::Null) && !is_default(x))
-        })
-        .map(|&(key, _)| key)
+    retired_entry(v).map(|&(key, ..)| key)
 }
 
 /// Parse the spec fields out of a JSON object (absent fields keep their
@@ -307,10 +291,9 @@ pub fn retired_field(v: &Value) -> Option<&'static str> {
 /// uses the job-local copy. A retired field set to a non-default value
 /// (see [`retired_field`]) is an error naming the field.
 pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
-    if let Some(key) = retired_field(v) {
+    if let Some((key, _, why)) = retired_entry(v) {
         return Err(format!(
-            "field {key:?} is retired: the I/O scheduler and device striping were removed, \
-             so only its old default is accepted"
+            "field {key:?} is retired: {why}, so only its old default is accepted"
         ));
     }
     let mut spec = JobSpec::default();
@@ -382,11 +365,6 @@ pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
     }
     if let Some(x) = get_usize("cache_frames")? {
         spec.cache_frames = x;
-    }
-    if let Some(p) = v.get("cache_policy") {
-        if let Some(name) = p.as_str() {
-            spec.cache_policy = policy_from_name(name)?;
-        }
     }
     if let Some(x) = get_bool("write_back")? {
         spec.write_back = x;
@@ -498,7 +476,6 @@ mod tests {
             depth_limit: Some(3),
             degeneration: true,
             cache_frames: 8,
-            cache_policy: CachePolicy::Clock,
             write_back: true,
             parity_group: 4,
             pretty: true,
@@ -523,7 +500,6 @@ mod tests {
         assert_eq!(back.spec.threshold, Some(512));
         assert_eq!(back.spec.depth_limit, Some(3));
         assert!(back.spec.degeneration && back.spec.write_back);
-        assert_eq!(back.spec.cache_policy, CachePolicy::Clock);
         assert_eq!(back.spec.parity_group, 4);
         assert_eq!(back.spec.crash_after_ios, Some(77));
         assert_eq!(back.spec.op, JobOp::TopK);
@@ -539,31 +515,34 @@ mod tests {
 
     #[test]
     fn retired_fields_are_refused_unless_at_their_old_default() {
-        // A manifest from before the scheduler's removal carries every
-        // retired field at its default: it still loads.
+        // A manifest from before the removals carries every retired field
+        // at its default: it still loads.
         let old = r#"{"id":3,"state":"done","spec":{"block":512,"io_workers":0,
-            "prefetch_depth":0,"write_behind":false,"stripe":1},"staged":null}"#;
+            "prefetch_depth":0,"write_behind":false,"stripe":1,"cache_policy":"lru"},
+            "staged":null}"#;
         let m = Manifest::from_json(old, Path::new("/jobs/job-3")).unwrap();
         assert_eq!(m.spec.block_size, 512);
-        // Any other value is refused with an error naming the field, on
-        // the submit path and the manifest path alike.
-        for (key, value) in [
-            ("io_workers", "2"),
-            ("prefetch_depth", "4"),
-            ("write_behind", "true"),
-            ("stripe", "3"),
-            ("stripe", "\"x\""),
+        // Any other value is refused with an error naming the field and
+        // the reason it went, on the submit path and the manifest path alike.
+        let scheduler = "the I/O scheduler was removed";
+        for (key, value, why) in [
+            ("io_workers", "2", scheduler),
+            ("prefetch_depth", "4", scheduler),
+            ("write_behind", "true", scheduler),
+            ("stripe", "3", "device striping was removed"),
+            ("stripe", "\"x\"", "device striping was removed"),
+            ("cache_policy", "\"clock\"", "the buffer pool only evicts LRU"),
         ] {
             let spec = json::parse(&format!(r#"{{"block":512,"{key}":{value}}}"#)).unwrap();
             assert_eq!(retired_field(&spec), Some(key));
             let err = spec_from_value(&spec).unwrap_err();
-            assert!(err.contains(&format!("{key:?} is retired")), "{err}");
+            assert!(err.contains(&format!("{key:?} is retired: {why},")), "{err}");
             let manifest = format!(
                 r#"{{"id":4,"state":"interrupted","spec":{},"staged":null}}"#,
                 spec.to_json()
             );
             let err = Manifest::from_json(&manifest, Path::new("/jobs/job-4")).unwrap_err();
-            assert!(err.contains(&format!("{key:?} is retired")), "{err}");
+            assert!(err.contains(&format!("{key:?} is retired: {why},")), "{err}");
         }
         // A fresh manifest never writes them.
         let text = Manifest {
@@ -575,7 +554,7 @@ mod tests {
             resumed: false,
         }
         .to_json();
-        for (key, _) in RETIRED_FIELDS {
+        for (key, ..) in RETIRED_FIELDS {
             assert!(!text.contains(key), "{key} in {text}");
         }
     }

@@ -920,7 +920,6 @@ fn execute(
         depth_limit: spec.depth_limit,
         degeneration: spec.degeneration,
         cache_frames: spec.cache_frames,
-        cache_policy: spec.cache_policy,
         cache_write_mode: if spec.write_back {
             nexsort_extmem::WriteMode::Back
         } else {

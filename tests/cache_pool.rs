@@ -18,8 +18,8 @@ use std::rc::Rc;
 use nexsort::{Nexsort, NexsortOptions, SortFailure, SortedDoc};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::{
-    CachePolicy, Disk, ExtError, FaultKind, FaultPlan, IoCat, IoPhase, IoSnapshot, MemDevice,
-    RetryPolicy, WriteMode,
+    Disk, ExtError, FaultKind, FaultPlan, IoCat, IoPhase, IoSnapshot, MemDevice, RetryPolicy,
+    WriteMode,
 };
 use nexsort_xml::{SortSpec, XmlError};
 
@@ -41,14 +41,8 @@ fn doc() -> String {
     d
 }
 
-fn opts_with(cache_frames: usize, policy: CachePolicy, mode: WriteMode) -> NexsortOptions {
-    NexsortOptions {
-        mem_frames: 12,
-        cache_frames,
-        cache_policy: policy,
-        cache_write_mode: mode,
-        ..Default::default()
-    }
+fn opts_with(cache_frames: usize, mode: WriteMode) -> NexsortOptions {
+    NexsortOptions { mem_frames: 12, cache_frames, cache_write_mode: mode, ..Default::default() }
 }
 
 fn sort_with(opts: NexsortOptions) -> (Vec<u8>, IoSnapshot, Rc<Disk>) {
@@ -67,29 +61,24 @@ fn phys_reads_total(s: &IoSnapshot) -> u64 {
 
 #[test]
 fn every_cache_configuration_sorts_bit_identically() {
-    let (clean, clean_io, _) = sort_with(opts_with(0, CachePolicy::Lru, WriteMode::Through));
+    let (clean, clean_io, _) = sort_with(opts_with(0, WriteMode::Through));
     // A pool small enough to force evictions and one big enough to go warm.
     for frames in [3usize, 64] {
-        for policy in [CachePolicy::Lru, CachePolicy::Clock] {
-            for mode in [WriteMode::Through, WriteMode::Back] {
-                let (xml, io, _) = sort_with(opts_with(frames, policy, mode));
-                assert_eq!(
-                    xml, clean,
-                    "{frames} frames, {policy}, {mode}: output must be bit-identical"
-                );
-                assert_eq!(
-                    io.grand_total(),
-                    clean_io.grand_total(),
-                    "{frames} frames, {policy}, {mode}: logical transfers must not move"
-                );
-            }
+        for mode in [WriteMode::Through, WriteMode::Back] {
+            let (xml, io, _) = sort_with(opts_with(frames, mode));
+            assert_eq!(xml, clean, "{frames} frames, {mode}: output must be bit-identical");
+            assert_eq!(
+                io.grand_total(),
+                clean_io.grand_total(),
+                "{frames} frames, {mode}: logical transfers must not move"
+            );
         }
     }
 }
 
 #[test]
 fn zero_cache_frames_is_byte_identical_accounting() {
-    let (_, io, disk) = sort_with(opts_with(0, CachePolicy::Lru, WriteMode::Through));
+    let (_, io, disk) = sort_with(opts_with(0, WriteMode::Through));
     assert!(!disk.cache_enabled(), "cache_frames: 0 must not build a pool");
     assert_eq!(io.grand_total_physical(), io.grand_total(), "physical == logical without a pool");
     assert_eq!(io.total_cache_hits() + io.total_cache_misses(), 0);
@@ -102,23 +91,23 @@ fn zero_cache_frames_is_byte_identical_accounting() {
 
 #[test]
 fn a_warm_pool_reads_physically_less_than_logically() {
-    let (_, uncached, _) = sort_with(opts_with(0, CachePolicy::Lru, WriteMode::Through));
-    for policy in [CachePolicy::Lru, CachePolicy::Clock] {
-        let (_, io, disk) = sort_with(opts_with(64, policy, WriteMode::Back));
+    let (_, uncached, _) = sort_with(opts_with(0, WriteMode::Through));
+    for mode in [WriteMode::Through, WriteMode::Back] {
+        let (_, io, disk) = sort_with(opts_with(64, mode));
         assert!(disk.cache_enabled());
-        assert_eq!(io.grand_total(), uncached.grand_total(), "{policy}: logical count fixed");
+        assert_eq!(io.grand_total(), uncached.grand_total(), "{mode}: logical count fixed");
         assert!(
             phys_reads_total(&io) < io.total_reads(),
-            "{policy}: warm pool must absorb re-reads: {} physical vs {} logical",
+            "{mode}: warm pool must absorb re-reads: {} physical vs {} logical",
             phys_reads_total(&io),
             io.total_reads()
         );
-        assert!(io.total_cache_hits() > 0, "{policy}: hits must be recorded");
+        assert!(io.total_cache_hits() > 0, "{mode}: hits must be recorded");
         assert!(io.cache_hit_ratio().unwrap() > 0.0);
         // Flushed at the end: nothing the device doesn't have.
         assert!(
             io.grand_total_physical() < io.grand_total(),
-            "{policy}: pool must cut total physical transfers"
+            "{mode}: pool must cut total physical transfers"
         );
     }
 }
@@ -132,7 +121,7 @@ fn sort_faulty_cached(plan: FaultPlan, retries: u32) -> Result<SortedDoc, Box<So
         .map_err(|e| SortFailure::classify(&disk, XmlError::Ext(e), &disk.stats().snapshot()))
         .map_err(Box::new)?;
     let spec = SortSpec::by_attribute("k");
-    let opts = opts_with(4, CachePolicy::Lru, WriteMode::Back);
+    let opts = opts_with(4, WriteMode::Back);
     let sorter = Nexsort::new(disk.clone(), opts, spec)
         .map_err(|e| SortFailure::classify(&disk, e, &disk.stats().snapshot()))
         .map_err(Box::new)?;
@@ -181,7 +170,7 @@ fn transient_faults_heal_identically_with_and_without_the_pool() {
             Disk::new_faulty(Box::new(MemDevice::new(BLOCK)), FaultPlan::transient(77, 0.01));
         disk.set_retry_policy(RetryPolicy::retries(4));
         let input = stage_input(&disk, doc().as_bytes()).unwrap();
-        let opts = opts_with(cache_frames, CachePolicy::Clock, WriteMode::Back);
+        let opts = opts_with(cache_frames, WriteMode::Back);
         let sorted = Nexsort::new(disk.clone(), opts, SortSpec::by_attribute("k"))
             .unwrap()
             .try_sort_xml_extent(&input)

@@ -4,7 +4,7 @@
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::{sorted_dom, stage_input};
 use nexsort_datagen::{collect_events, GenConfig, IbmGen};
-use nexsort_extmem::Disk;
+use nexsort_extmem::{Disk, DiskBuilder};
 use nexsort_xml::{
     events_to_dom, events_to_xml, parse_dom, Element, KeyRule, KeyValue, SortSpec, XNode,
 };
@@ -79,7 +79,7 @@ fn file_backed_device_produces_identical_output() {
     let dir = std::env::temp_dir().join(format!("nexsort-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("device.bin");
-    let file_disk = Disk::new_file(&path, 512).unwrap();
+    let file_disk = DiskBuilder::new(512).file(&path).build().unwrap().disk;
     let input = stage_input(&file_disk, &xml).unwrap();
     let file_out = Nexsort::new(file_disk, NexsortOptions::default(), spec)
         .unwrap()

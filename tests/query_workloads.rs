@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
-use nexsort_extmem::{CachePolicy, Disk, DiskBuilder, WriteMode};
+use nexsort_extmem::{Disk, DiskBuilder, WriteMode};
 use nexsort_query::{ExtPq, TopK};
 use nexsort_server::{JobInput, JobOp, JobSpec, JobState, Server, ServerConfig};
 use nexsort_xml::{Rec, SortSpec};
@@ -62,13 +62,9 @@ fn flat_doc(n: usize, seed: u64) -> Vec<u8> {
 fn stacks() -> Vec<(&'static str, DiskBuilder, usize)> {
     vec![
         ("bare", DiskBuilder::new(BLOCK), 0),
-        ("write-back", DiskBuilder::new(BLOCK).cache(8, CachePolicy::Clock, WriteMode::Back), 0),
+        ("write-back", DiskBuilder::new(BLOCK).cache(8, WriteMode::Back), 0),
         ("parity", DiskBuilder::new(BLOCK), 2),
-        (
-            "write-back+parity",
-            DiskBuilder::new(BLOCK).cache(8, CachePolicy::Lru, WriteMode::Back),
-            2,
-        ),
+        ("write-back+parity", DiskBuilder::new(BLOCK).cache(8, WriteMode::Back), 2),
     ]
 }
 

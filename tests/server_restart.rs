@@ -87,12 +87,11 @@ fn mixed_specs(crashes: Option<&[u64]>) -> Vec<JobSpec> {
             default_rule: Some("@k:num".into()),
             ..base.clone()
         },
-        // Write-back page cache with clock eviction.
+        // Write-back page cache.
         JobSpec {
             input: JobInput::Inline(flat_doc(340, 2)),
             default_rule: Some("@k".into()),
             cache_frames: 16,
-            cache_policy: nexsort_extmem::CachePolicy::Clock,
             write_back: true,
             ..base.clone()
         },
