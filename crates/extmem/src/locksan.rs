@@ -39,6 +39,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::ThreadId;
+use std::time::Duration;
 
 use crate::error::ExtError;
 
@@ -217,7 +218,27 @@ impl TrackedCondvar {
     }
 
     /// Atomically release the tracked guard, park, and re-acquire.
-    pub fn wait<'a, T>(&self, mut guard: TrackedGuard<'a, T>) -> TrackedGuard<'a, T> {
+    pub fn wait<'a, T>(&self, guard: TrackedGuard<'a, T>) -> TrackedGuard<'a, T> {
+        self.park(guard, |inner| recover_poison(self.inner.wait(inner)))
+    }
+
+    /// [`wait`](Self::wait), parked for at most `timeout`. The caller's
+    /// predicate loop re-checks both its condition and its deadline.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: TrackedGuard<'a, T>,
+        timeout: Duration,
+    ) -> TrackedGuard<'a, T> {
+        self.park(guard, |inner| recover_poison(self.inner.wait_timeout(inner, timeout)).0)
+    }
+
+    /// Release the guard's sanitizer bookkeeping, block in `block`, and
+    /// re-acquire with fresh bookkeeping.
+    fn park<'a, T>(
+        &self,
+        mut guard: TrackedGuard<'a, T>,
+        block: impl FnOnce(MutexGuard<'a, T>) -> MutexGuard<'a, T>,
+    ) -> TrackedGuard<'a, T> {
         let lock = guard.lock;
         let inner = match guard.guard.take() {
             Some(g) => g,
@@ -227,7 +248,7 @@ impl TrackedCondvar {
         if enabled() {
             with_state(|st| st.on_release(lock.name));
         }
-        let inner = recover_poison(self.inner.wait(inner));
+        let inner = block(inner);
         if enabled() {
             with_state(|st| {
                 st.on_attempt(lock.name);
@@ -564,6 +585,22 @@ mod tests {
         drop(done);
         t.join().expect("join");
         assert!(!violation_log().iter().any(|l| l.contains("lsu.cv")));
+    }
+
+    #[test]
+    fn condvar_wait_timeout_returns_the_guard_after_the_timeout() {
+        force_enable();
+        let (lock, cv) = (TrackedMutex::new("lsu.cv-timeout", 5u32), TrackedCondvar::new());
+        let start = std::time::Instant::now();
+        let mut guard = lock.lock();
+        // Nobody notifies: the wait must end on its own, guard re-acquired.
+        while start.elapsed() < Duration::from_millis(20) {
+            guard = cv.wait_timeout(guard, Duration::from_millis(5));
+        }
+        *guard += 1;
+        drop(guard);
+        assert_eq!(*lock.lock(), 6);
+        assert!(!violation_log().iter().any(|l| l.contains("lsu.cv-timeout")));
     }
 
     #[test]
