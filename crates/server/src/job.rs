@@ -1,18 +1,37 @@
 //! Job specifications, lifecycle state, and the persisted per-job manifest.
 //!
 //! Every accepted job owns a directory `job-<id>/` under the server's job
-//! root holding:
+//! root. It can hold:
 //!
-//! * `input.xml`  -- a private copy of the input document, taken at accept
-//!   time so a resumed job never depends on the submitter's file surviving;
-//! * `device.bin` -- the job's block device,
-//!   carrying the sort's PR-5 write-ahead journal;
-//! * `job.json`   -- the manifest: the full spec, the lifecycle state, and
-//!   (once staged) the raw input extent, i.e. everything a restarted daemon
-//!   needs to reattach the device and resume the sort.
+//! * `job.json`   -- the manifest: the full spec, the lifecycle state, the
+//!   error of a failed job, and (once staged) the raw input extent, i.e.
+//!   everything a restarted daemon needs to reattach the device and resume
+//!   the sort;
+//! * `input.xml`  -- a private copy of the input document (a pq job's
+//!   script), taken at accept time so a resumed job never depends on the
+//!   submitter's file surviving;
+//! * `device.bin` -- the job's block device, created when a worker starts
+//!   the job, carrying the sort's write-ahead journal;
+//! * `out.xml`    -- the output, unless the spec names another path.
+//!
+//! Which of them are there follows the job's state:
+//!
+//! ```text
+//! queued                 job.json input.xml  (+ device.bin once interrupted)
+//! running, interrupted   job.json input.xml device.bin
+//! done                   job.json out.xml
+//! failed                 job.json input.xml device.bin  (kept for `xsort scrub`;
+//!                        no device when the job failed before building it)
+//! canceled               job.json input.xml  (+ device.bin once interrupted)
+//! ```
 //!
 //! The manifest is rewritten via temp-file + rename so a crash mid-update
-//! leaves the previous consistent version in place.
+//! leaves the previous consistent version in place. It is stored once per
+//! durable fact: `queued` when the job is accepted; `running` with the
+//! staged extent (for pq: that the script started) before a fresh job can
+//! be interrupted; then `done`, `interrupted` or `failed` when it settles,
+//! or `canceled`. The device and the input copy are deleted once `done`
+//! is stored.
 
 use std::path::{Path, PathBuf};
 

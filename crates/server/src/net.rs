@@ -10,7 +10,6 @@
 //! {"op":"submit","spec":{...}}          -> {"ok":true,"id":3}
 //! {"op":"status","id":3}                -> {"ok":true,"job":{...}}
 //! {"op":"wait","id":3,"timeout_ms":N}   -> {"ok":true,"job":{...}}
-//! {"op":"fetch","id":3}                 -> {"ok":true,"output":"<xml.."}
 //! {"op":"fetch_chunk","id":3,
 //!        "offset":0,"len":65536}        -> {"ok":true,"chunk":"..",
 //!                                           "offset":0,"total":N,"eof":false}
@@ -21,6 +20,10 @@
 //! {"op":"shutdown","mode":"drain",
 //!        "timeout_ms":N}                -> {"ok":true,"drained":true}
 //! ```
+//!
+//! A done job's output comes back only through `fetch_chunk`, whose `len`
+//! is clamped to 16 B..1 MiB, so no response line holds a whole output;
+//! [`request_fetch_chunked`] reassembles it.
 //!
 //! Failures are `{"ok":false,"error":"..."}`; a full queue (or a draining
 //! server) additionally sets `"busy":true` so clients can distinguish
@@ -549,13 +552,6 @@ fn dispatch(server: &Server, mut req: Value, opts: &ServeOptions) -> (Value, boo
             }
             Err(resp) => (resp, false),
         },
-        "fetch" => match req_id(&req) {
-            Ok(id) => match server.fetch_output(id) {
-                Ok(bytes) => (obj(vec![("ok", b(true)), ("output", s(into_text(bytes)))]), false),
-                Err(e) => (err_value(&e, false), false),
-            },
-            Err(resp) => (resp, false),
-        },
         "fetch_chunk" => match req_id(&req) {
             Ok(id) => {
                 let offset = req.get("offset").and_then(Value::as_u64).unwrap_or(0);
@@ -1010,13 +1006,12 @@ mod tests {
         let job = resp.get("job").expect("wait returns the job");
         assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{}", resp.to_json());
 
-        let resp = request(&sock, &obj(vec![("op", s("fetch")), ("id", n(id))])).unwrap();
-        let xml = resp.get("output").and_then(Value::as_str).unwrap();
+        let xml = request_fetch_chunked(&sock, id, 1 << 20).unwrap();
         assert!(xml.contains("<x k=\"1\"></x><x k=\"2\"></x>"), "sorted by @k: {xml}");
 
         // Chunked fetch with a tiny chunk reassembles the same bytes.
         let chunked = request_fetch_chunked(&sock, id, 16).unwrap();
-        assert_eq!(chunked, xml, "chunked fetch must equal one-shot fetch");
+        assert_eq!(chunked, xml, "16-byte chunks must equal one whole chunk");
         let resp = request(
             &sock,
             &obj(vec![("op", s("fetch_chunk")), ("id", n(id)), ("offset", n(4)), ("len", n(16))]),
@@ -1118,8 +1113,7 @@ mod tests {
                 .unwrap();
         let job = resp.get("job").expect("wait returns the job");
         assert_eq!(job.get("state").and_then(Value::as_str), Some("done"), "{}", resp.to_json());
-        let resp = request(&sock, &obj(vec![("op", s("fetch")), ("id", n(id))])).unwrap();
-        let whole = resp.get("output").and_then(Value::as_str).unwrap().to_string();
+        let whole = request_fetch_chunked(&sock, id, 1 << 20).unwrap();
         assert!(whole.contains(&text) && !whole.contains('\u{fffd}'));
 
         assert_eq!(request_fetch_chunked(&sock, id, 16).unwrap(), whole);
@@ -1181,6 +1175,11 @@ mod tests {
         assert!(resp.get("error").and_then(Value::as_str).unwrap().contains("bad request"));
         let resp = send("{\"op\":\"ping\"}");
         assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "conn survived");
+        // The whole-output fetch is gone: outputs come back in chunks.
+        let resp = send("{\"op\":\"fetch\",\"id\":0}");
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
+        let error = resp.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("unknown op"), "{error}");
         drop(stream);
 
         // wait with timeout_ms:0 returns the current state immediately.

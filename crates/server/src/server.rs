@@ -14,11 +14,16 @@
 //! Admission control happens at `submit`: a job whose frame demand exceeds
 //! the global budget is rejected outright (it could never run), and a full
 //! queue pushes back with a busy error instead of queueing unboundedly.
-//! Once accepted, a job is durable: its input copy, manifest, and device
-//! file live in the server's job directory, so a killed daemon reopened
-//! with [`Server::open`] re-queues every unfinished job and resumes it from
-//! its on-device journal (PR-5 crash consistency) -- committed merge passes
-//! are never redone.
+//! Once accepted, a job is durable: its input copy and manifest (and, once
+//! it runs, its device file) live in the server's job directory, so a
+//! killed daemon reopened with [`Server::open`] re-queues every unfinished
+//! job and resumes it from its on-device journal (PR-5 crash consistency)
+//! -- committed merge passes are never redone. A done job keeps only its
+//! manifest and its output.
+//!
+//! A job runs from one record: the table holds its [`Manifest`], the
+//! worker takes a copy, stores it as `job.json` at each durable fact
+//! (accepted, staged, settled) and hands it back when the job settles.
 //!
 //! # Threading
 //!
@@ -32,7 +37,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,8 +46,7 @@ use std::time::{Duration, Instant};
 use nexsort::{Nexsort, NexsortOptions, SortReport};
 use nexsort_baseline::{stage_reader, write_output_file};
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
-use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskBuilder, DiskStack, ExtError, Extent};
-use nexsort_query::ScriptError;
+use nexsort_extmem::{BudgetArbiter, CrashPlan, Disk, DiskBuilder, DiskStack, ExtError, Extent};
 use nexsort_xml::{build_spec, XmlError};
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, Manifest};
@@ -192,16 +197,25 @@ pub(crate) struct NetStats {
 
 /// One job's record in the in-memory table.
 struct JobRecord {
-    spec: JobSpec,
-    state: JobState,
-    /// Start via journal resume (set for jobs adopted from manifests).
+    /// The job's durable fields. A worker runs from a copy and hands it
+    /// back when the job settles; until then `state` and `resumed` here
+    /// may run ahead of `job.json`, for transitions no restart needs (an
+    /// adopted job re-queued, a popped one running).
+    m: Manifest,
+    /// Resume from the journal, or redo a pq script that already started
+    /// (set for unfinished jobs adopted from manifests).
     resume: bool,
-    error: Option<String>,
     report: Option<SortReport>,
     output: PathBuf,
     submitted: Instant,
     latency: Option<Duration>,
-    resumed: bool,
+}
+
+impl JobRecord {
+    fn new(cfg: &ServerConfig, m: Manifest, resume: bool) -> Self {
+        let output = resolve_output(cfg, m.id, &m.spec);
+        Self { m, resume, report: None, output, submitted: Instant::now(), latency: None }
+    }
 }
 
 /// Terminal job records kept in memory: enough for a client to `wait` for
@@ -351,35 +365,23 @@ impl Server {
             if let Some(tok) = &m.spec.idem {
                 core.idem.insert(tok.clone(), m.id);
             }
-            let unfinished = !m.state.is_terminal();
+            let (id, state) = (m.id, m.state);
+            let unfinished = !state.is_terminal();
             // A job with a staged input extent has a device image (and
             // journal) worth reattaching; one without re-runs from its
-            // input copy. An unfinished pq job that already ran once is a
+            // input copy. An unfinished pq job that already started is a
             // deterministic redo: flag it so the crash hook (which models
             // the daemon death that got us here) is not re-armed.
             let resume = unfinished
-                && (m.staged.is_some() || (m.spec.op == JobOp::Pq && m.state != JobState::Queued));
-            let output = resolve_output(&cfg, m.id, &m.spec);
-            core.jobs.insert(
-                m.id,
-                JobRecord {
-                    spec: m.spec,
-                    state: if unfinished { JobState::Queued } else { m.state },
-                    resume,
-                    error: m.error,
-                    report: None,
-                    output,
-                    submitted: Instant::now(),
-                    latency: None,
-                    resumed: m.resumed,
-                },
-            );
+                && (m.staged.is_some() || (m.spec.op == JobOp::Pq && state != JobState::Queued));
+            let mut rec = JobRecord::new(&cfg, m, resume);
             if unfinished {
-                core.queue.push_back(m.id);
+                rec.m.state = JobState::Queued;
+                core.queue.push_back(id);
                 core.submitted += 1;
-            } else {
-                core.retire(m.id, m.state);
             }
+            core.jobs.insert(id, rec);
+            core.retire(id, state);
         }
         let arbiter = BudgetArbiter::new(cfg.budget_frames);
         arbiter.set_tenant_cap(cfg.tenant_cap);
@@ -482,9 +484,17 @@ impl Server {
         // Make the job durable before announcing it. From here on the spec
         // names the job-local copy; an inline document is written out and
         // dropped, never cloned.
-        let job_dir = self.shared.cfg.job_dir.join(format!("job-{id}"));
+        let job_dir = job_path(&self.shared.cfg, id);
         let copy = job_dir.join("input.xml");
         let input = std::mem::replace(&mut spec.input, JobInput::Path(copy.clone()));
+        let m = Manifest {
+            id,
+            state: JobState::Queued,
+            spec,
+            staged: None,
+            error: None,
+            resumed: false,
+        };
         let persist = (|| -> Result<(), String> {
             std::fs::create_dir_all(&job_dir).map_err(|e| format!("mkdir {job_dir:?}: {e}"))?;
             match &input {
@@ -492,43 +502,21 @@ impl Server {
                 JobInput::Inline(bytes) => std::fs::write(&copy, bytes),
             }
             .map_err(|e| format!("cannot copy input: {e}"))?;
-            let spec = spec.clone();
-            Manifest {
-                id,
-                state: JobState::Queued,
-                spec,
-                staged: None,
-                error: None,
-                resumed: false,
-            }
-            .store(&job_dir)
+            m.store(&job_dir)
         })();
         drop(input);
         if let Err(e) = persist {
             // The job never became durable: un-register its token so a
             // genuine resubmit is not pointed at a ghost.
-            if let Some(tok) = &spec.idem {
+            if let Some(tok) = &m.spec.idem {
                 let mut core = self.shared.lock_core();
                 core.idem.remove(tok);
             }
             return Err(SubmitError::Invalid(e));
         }
-        let output = resolve_output(&self.shared.cfg, id, &spec);
+        let rec = JobRecord::new(&self.shared.cfg, m, false);
         let mut core = self.shared.lock_core();
-        core.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                state: JobState::Queued,
-                resume: false,
-                error: None,
-                report: None,
-                output,
-                submitted: Instant::now(),
-                latency: None,
-                resumed: false,
-            },
-        );
+        core.jobs.insert(id, rec);
         core.queue.push_back(id);
         core.submitted += 1;
         drop(core);
@@ -541,7 +529,7 @@ impl Server {
     pub fn status(&self, id: u64) -> Option<JobStatus> {
         let core = self.shared.lock_core();
         if let Some(rec) = core.jobs.get(&id) {
-            return Some(snapshot(id, rec));
+            return Some(snapshot(rec));
         }
         let known = id < core.next_id;
         drop(core);
@@ -557,7 +545,7 @@ impl Server {
         let (mut live, next_id) = {
             let core = self.shared.lock_core();
             let live: BTreeMap<u64, JobStatus> =
-                core.jobs.iter().map(|(&id, r)| (id, snapshot(id, r))).collect();
+                core.jobs.iter().map(|(&id, r)| (id, snapshot(r))).collect();
             (live, core.next_id)
         };
         (0..next_id).filter_map(|id| live.remove(&id).or_else(|| self.aged_out(id))).collect()
@@ -568,17 +556,8 @@ impl Server {
     /// latency, exactly like a terminal job adopted at restart. `None`
     /// when the id never became durable.
     fn aged_out(&self, id: u64) -> Option<JobStatus> {
-        let job_dir = self.shared.cfg.job_dir.join(format!("job-{id}"));
-        let m = Manifest::load(&job_dir).ok().flatten()?;
-        Some(JobStatus {
-            id,
-            state: m.state,
-            error: m.error,
-            output: resolve_output(&self.shared.cfg, id, &m.spec),
-            resumed: m.resumed,
-            report: None,
-            latency: None,
-        })
+        let m = Manifest::load(&job_path(&self.shared.cfg, id)).ok().flatten()?;
+        Some(snapshot(&JobRecord::new(&self.shared.cfg, m, false)))
     }
 
     /// Cancel a queued job. Returns true when the job was dequeued; a job
@@ -588,19 +567,15 @@ impl Server {
     pub fn cancel(&self, id: u64) -> bool {
         let mut core = self.shared.lock_core();
         let Some(rec) = core.jobs.get_mut(&id) else { return false };
-        if rec.state != JobState::Queued {
+        if rec.m.state != JobState::Queued {
             return false;
         }
-        rec.state = JobState::Canceled;
+        rec.m.state = JobState::Canceled;
         rec.latency = Some(rec.submitted.elapsed());
-        let spec = rec.spec.clone();
-        let resumed = rec.resumed;
+        let m = rec.m.clone();
         core.queue.retain(|&q| q != id);
         drop(core);
-        let job_dir = self.shared.cfg.job_dir.join(format!("job-{id}"));
-        let _ =
-            Manifest { id, state: JobState::Canceled, spec, staged: None, error: None, resumed }
-                .store(&job_dir);
+        let _ = m.store(&job_path(&self.shared.cfg, id));
         // Only now may the record age out: the manifest answers for it.
         self.shared.lock_core().retire(id, JobState::Canceled);
         self.shared.cv.notify_all();
@@ -655,7 +630,7 @@ impl Server {
         };
         // Live jobs never age out, so the table holds all of them.
         for rec in core.jobs.values() {
-            match rec.state {
+            match rec.m.state {
                 JobState::Queued => st.queued += 1,
                 JobState::Running => st.running += 1,
                 JobState::Interrupted => st.interrupted += 1,
@@ -672,12 +647,6 @@ impl Server {
             return Err(format!("job {id} is {}, not done", st.state.name()));
         }
         Ok(st.output)
-    }
-
-    /// Read the finished output of a done job.
-    pub fn fetch_output(&self, id: u64) -> Result<Vec<u8>, String> {
-        let output = self.done_output(id)?;
-        std::fs::read(&output).map_err(|e| format!("cannot read output {output:?}: {e}"))
     }
 
     /// Read one bounded chunk of a done job's output: up to `len` bytes
@@ -719,7 +688,7 @@ impl Server {
         self.block_until(timeout, |core| {
             core.jobs
                 .get(&id)
-                .is_none_or(|r| r.state.is_terminal() || r.state == JobState::Interrupted)
+                .is_none_or(|r| r.m.state.is_terminal() || r.m.state == JobState::Interrupted)
         });
         self.status(id)
     }
@@ -807,19 +776,25 @@ impl Drop for Server {
 
 /// Whether any job is on a worker.
 fn running(core: &Core) -> bool {
-    core.jobs.values().any(|r| r.state == JobState::Running)
+    core.jobs.values().any(|r| r.m.state == JobState::Running)
 }
 
-fn snapshot(id: u64, rec: &JobRecord) -> JobStatus {
+fn snapshot(rec: &JobRecord) -> JobStatus {
     JobStatus {
-        id,
-        state: rec.state,
-        error: rec.error.clone(),
+        id: rec.m.id,
+        state: rec.m.state,
+        error: rec.m.error.clone(),
         output: rec.output.clone(),
-        resumed: rec.resumed,
+        resumed: rec.m.resumed,
         report: rec.report.clone(),
         latency: rec.latency,
     }
+}
+
+/// Job `id`'s directory: its `job.json`, input copy, device and (unless
+/// the spec names another path) output.
+fn job_path(cfg: &ServerConfig, id: u64) -> PathBuf {
+    cfg.job_dir.join(format!("job-{id}"))
 }
 
 /// Where a job's output lands: the requested path, or `out.xml` in the job
@@ -827,112 +802,94 @@ fn snapshot(id: u64, rec: &JobRecord) -> JobStatus {
 fn resolve_output(cfg: &ServerConfig, id: u64, spec: &JobSpec) -> PathBuf {
     match &spec.output {
         Some(path) => path.clone(),
-        None => cfg.job_dir.join(format!("job-{id}")).join("out.xml"),
+        None => job_path(cfg, id).join("out.xml"),
     }
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let id = {
+        let (m, resume, output) = {
             let mut core = shared.lock_core();
             loop {
                 if core.shutdown || core.draining {
                     return;
                 }
-                if let Some(id) = core.queue.pop_front() {
-                    // Mark Running inside the same critical section as the
-                    // pop: a drain that observed "queue empty, none
-                    // running" between the two would think the job never
-                    // existed and declare the server idle too early.
-                    if let Some(rec) = core.jobs.get_mut(&id) {
-                        rec.state = JobState::Running;
-                    }
-                    break id;
-                }
-                core = shared.cv.wait(core);
+                let Some(id) = core.queue.pop_front() else {
+                    core = shared.cv.wait(core);
+                    continue;
+                };
+                // Mark Running inside the same critical section as the
+                // pop: a drain that observed "queue empty, none running"
+                // between the two would think the job never existed and
+                // declare the server idle too early.
+                let Some(rec) = core.jobs.get_mut(&id) else { continue };
+                let resume = rec.resume;
+                rec.m.state = JobState::Running;
+                rec.m.resumed |= resume;
+                let job = (rec.m.clone(), resume, rec.output.clone());
+                core.resumed_total += u64::from(resume);
+                break job;
             }
         };
-        run_job(shared, id);
+        run_job(shared, m, resume, &output);
     }
 }
 
-/// Run one job end to end on this thread. Every failure path lands in the
-/// job record and manifest; this function never panics the worker.
-fn run_job(shared: &Arc<Shared>, id: u64) {
-    let (spec, resume, was_resumed) = {
-        let mut core = shared.lock_core();
-        let Some(rec) = core.jobs.get_mut(&id) else { return };
-        rec.state = JobState::Running;
-        (rec.spec.clone(), rec.resume, rec.resumed)
-    };
-    let job_dir = shared.cfg.job_dir.join(format!("job-{id}"));
-    let manifest = |state: JobState,
-                    staged: &Option<(Vec<u64>, u64)>,
-                    error: Option<String>,
-                    resumed: bool| {
-        let mut stored = spec.clone();
-        stored.input = JobInput::Path(job_dir.join("input.xml"));
-        let _ = Manifest { id, state, spec: stored, staged: staged.clone(), error, resumed }
-            .store(&job_dir);
-    };
-    let resumed_now = was_resumed || resume;
-    // Keep whatever input extent an earlier (interrupted) run staged: the
-    // resume path reattaches through it.
-    let prior_staged = Manifest::load(&job_dir).ok().flatten().and_then(|m| m.staged);
-    manifest(JobState::Running, &prior_staged, None, resumed_now);
-    if resume {
-        let mut core = shared.lock_core();
-        core.resumed_total += 1;
-        if let Some(rec) = core.jobs.get_mut(&id) {
-            rec.resumed = true;
-        }
-    }
-
+/// Run one job end to end on this thread, from `m`, its record's durable
+/// fields. Every failure path lands in the job record and manifest; this
+/// function never panics the worker.
+fn run_job(shared: &Shared, mut m: Manifest, resume: bool, output: &Path) {
+    let dir = job_path(&shared.cfg, m.id);
     // Lease the job's frames from the global budget (strict-FIFO with the
     // per-tenant cap; blocks until admitted) for the whole on-thread
     // lifetime of the stack.
-    let outcome = match shared.arbiter.acquire_as(spec.frames_needed(), spec.tenant.as_deref()) {
-        Ok(_lease) => execute(shared, id, &spec, resume, &job_dir, &manifest),
+    let outcome = match shared.arbiter.acquire_as(m.spec.frames_needed(), m.spec.tenant.as_deref())
+    {
+        Ok(_lease) => execute(&mut m, resume, &dir, output),
         Err(e) => Outcome::Failed(format!("budget lease: {e}")),
     };
-    match outcome {
-        Outcome::Done(report) => finish(shared, id, JobState::Done, None, report.map(|b| *b)),
-        Outcome::Interrupted => finish(shared, id, JobState::Interrupted, None, None),
-        Outcome::Failed(msg) => {
-            // The one place a failure reaches the manifest, and before
-            // memory: once the job is terminal in memory its record may
-            // age out, and the manifest then answers for it.
-            manifest(JobState::Failed, &None, Some(msg.clone()), resumed_now);
-            finish(shared, id, JobState::Failed, Some(msg), None);
+    let report = match outcome {
+        Outcome::Done(report) => {
+            m.state = JobState::Done;
+            report.map(|b| *b)
         }
+        Outcome::Interrupted => {
+            m.state = JobState::Interrupted;
+            None
+        }
+        Outcome::Failed(msg) => {
+            m.state = JobState::Failed;
+            m.error = Some(msg);
+            None
+        }
+    };
+    // The settled state reaches the manifest before memory: once the job
+    // is terminal in memory its record may age out, and the manifest then
+    // answers for it.
+    if m.store(&dir).is_ok() && m.state == JobState::Done {
+        // Nothing reads a done job's device or input copy again. A failed
+        // job keeps its device for `xsort scrub`, an interrupted one to
+        // resume from.
+        let _ = std::fs::remove_file(dir.join("device.bin"));
+        let _ = std::fs::remove_file(dir.join("input.xml"));
     }
+    finish(shared, m, report);
 }
 
-/// How `execute` ended. `Done` and `Interrupted` have written their
-/// manifest already; `Failed` leaves that to `run_job`.
+/// How `execute` ended; `run_job` stores it in the manifest.
 enum Outcome {
     Done(Option<Box<SortReport>>),
     Interrupted,
     Failed(String),
 }
 
-/// Writer closure persisting the job manifest at each state change
-/// (state, staged input extent, error, resumed).
-type ManifestWriter<'a> = dyn Fn(JobState, &Option<(Vec<u64>, u64)>, Option<String>, bool) + 'a;
-
-/// Publish a job's settled state (its manifest already says so) and wake
-/// every `wait`, `wait_idle` and `drain`.
-fn finish(
-    shared: &Arc<Shared>,
-    id: u64,
-    state: JobState,
-    error: Option<String>,
-    report: Option<SortReport>,
-) {
+/// Publish a job's settled manifest `m` (already stored) and report, and
+/// wake every `wait`, `wait_idle` and `drain`.
+fn finish(shared: &Shared, m: Manifest, report: Option<SortReport>) {
+    let (id, state) = (m.id, m.state);
     let mut core = shared.lock_core();
     if let Some(rec) = core.jobs.get_mut(&id) {
-        rec.state = state;
-        rec.error = error;
+        rec.m = m;
         rec.report = report;
         rec.latency = Some(rec.submitted.elapsed());
         core.retire(id, state);
@@ -941,64 +898,47 @@ fn finish(
     shared.cv.notify_all();
 }
 
-/// The single-threaded portion: device stack, staging, sort (or resume),
-/// output. Everything `Rc` lives and dies inside this call.
-fn execute(
-    shared: &Arc<Shared>,
-    id: u64,
-    spec: &JobSpec,
-    resume: bool,
-    job_dir: &std::path::Path,
-    manifest: &ManifestWriter<'_>,
-) -> Outcome {
-    if spec.op == JobOp::Pq {
-        // Not journaled: the script is deterministic, so an interrupted pq
-        // job redoes the whole script from its input copy.
-        return execute_pq(shared, id, spec, resume, job_dir, manifest);
-    }
-    let sortspec = match build_spec(spec.default_rule.as_deref(), &spec.keys) {
-        Ok(sp) => sp,
-        Err(e) => return Outcome::Failed(format!("ordering criterion: {e}")),
-    };
-    let device_path = job_dir.join("device.bin");
+/// An op's run step, built on the job's device and not yet started: it
+/// runs the op, writes the op's output to the writer it is handed, and
+/// returns the op's report (none for pq).
+type RunStep = Box<dyn FnOnce(&mut dyn Write) -> Result<Option<SortReport>, Stop>>;
+
+/// Why a run step or the output file stopped: the message a failed job
+/// reports, and the device error behind it, if any.
+type Stop = (String, Option<XmlError>);
+
+/// A failed output write, as the [`Stop`] it ends the job with.
+fn output_phase(e: XmlError) -> Stop {
+    (format!("output phase: {e}"), Some(e))
+}
+
+/// The single-threaded portion: device stack, staging, the op's run step
+/// and its output. Everything `Rc` lives and dies inside this call. A
+/// fresh job stores its manifest here once, `running` with its staged
+/// extent (a pq job: that its script started), before the op can be
+/// interrupted.
+fn execute(m: &mut Manifest, resume: bool, dir: &Path, output: &Path) -> Outcome {
+    let spec = &m.spec;
+    let device = dir.join("device.bin");
+    // Only a job that staged its input before a restart has a device image
+    // to reattach; pq keeps no state on its device across a restart.
     let mut builder = DiskBuilder::new(spec.block_size);
-    builder = if resume { builder.open_file(&device_path) } else { builder.file(&device_path) };
+    builder = if m.staged.is_some() { builder.open_file(&device) } else { builder.file(&device) };
     if !resume && spec.crash_after_ios.is_some() {
-        // Created disarmed; armed only after staging so the crash point
-        // counts I/Os of the sort proper, exactly like the CLI.
+        // Created disarmed; armed only just before the run step so the
+        // crash point counts I/Os of the op proper, exactly like the CLI.
+        // A resumed or redone job runs without it: the hook models the
+        // daemon death that got it here.
         builder = builder.crash(CrashPlan::Disarmed);
     }
     let DiskStack { disk, crash, .. } = match builder.build() {
         Ok(stack) => stack,
         Err(e) => return Outcome::Failed(e.to_string()),
     };
-
-    // Stage (or reattach) the input.
-    let manifest_of = Manifest::load(job_dir).ok().flatten();
-    let (input, staged) = if resume {
-        match manifest_of.as_ref().and_then(|m| m.staged.clone()) {
-            Some((blocks, len)) => {
-                let ext = Extent::from_raw(blocks.clone(), len);
-                (ext, Some((blocks, len)))
-            }
-            None => return Outcome::Failed("resume without a staged input extent".into()),
-        }
-    } else {
-        let staged = std::fs::File::open(job_dir.join("input.xml"))
-            .map_err(|e| format!("cannot read input copy: {e}"))
-            .and_then(|f| stage_reader(&disk, f).map_err(|e| format!("staging: {e}")));
-        match staged {
-            Ok(ext) => {
-                let staged = Some((ext.blocks().to_vec(), ext.len()));
-                (ext, staged)
-            }
-            Err(msg) => return Outcome::Failed(msg),
-        }
+    let criterion = match build_spec(spec.default_rule.as_deref(), &spec.keys) {
+        Ok(sp) => sp,
+        Err(e) => return Outcome::Failed(format!("ordering criterion: {e}")),
     };
-    // The staged extent is what a restart reattaches: persist it before the
-    // sort can be interrupted.
-    manifest(JobState::Running, &staged, None, resume);
-
     let opts = NexsortOptions {
         mem_frames: spec.mem_frames,
         threshold: spec.threshold,
@@ -1015,131 +955,108 @@ fn execute(
         parity_group: spec.parity_group,
         ..Default::default()
     };
-    let output = resolve_output(&shared.cfg, id, spec);
-    let arm = || {
-        if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
-            ctl.arm_after(ctl.ios() + after);
-        }
+    // Built before the crash hook is armed: building a sorter creates its
+    // journal, and the crash point counts only the I/Os after that.
+    let built: Result<RunStep, String> = match spec.op {
+        JobOp::Sort => staged_input(&disk, &mut m.staged, dir).and_then(|input| {
+            let sorter = Nexsort::new(disk.clone(), opts, criterion).map_err(|e| e.to_string())?;
+            let pretty = spec.pretty;
+            Ok(Box::new(move |w: &mut dyn Write| {
+                let doc = if resume {
+                    sorter.try_resume_xml_extent(&input)
+                } else {
+                    sorter.try_sort_xml_extent(&input)
+                };
+                let doc = doc.map_err(|f| (f.to_string(), Some(f.error)))?;
+                doc.write_xml(w, pretty).map_err(output_phase)?;
+                Ok(Some(doc.report))
+            }) as RunStep)
+        }),
+        JobOp::TopK => staged_input(&disk, &mut m.staged, dir).and_then(|input| {
+            let topk = nexsort_query::TopK::new(disk.clone(), opts, criterion, spec.k)
+                .map_err(|e| e.to_string())?;
+            Ok(Box::new(move |w: &mut dyn Write| {
+                let doc = if resume {
+                    topk.resume_xml_extent(&input)
+                } else {
+                    topk.topk_xml_extent(&input)
+                };
+                let doc = doc.map_err(|e| (e.to_string(), Some(e)))?;
+                doc.write_text(w).map_err(output_phase)?;
+                Ok(Some(doc.report.sort))
+            }) as RunStep)
+        }),
+        // Not journaled: the script is deterministic, so an interrupted pq
+        // job redoes the whole script from its input copy.
+        JobOp::Pq => std::fs::read_to_string(dir.join("input.xml"))
+            .map_err(|e| format!("cannot read pq script copy: {e}"))
+            .and_then(|script| {
+                let mut pq =
+                    nexsort_query::ExtPq::new(disk.clone(), spec.mem_frames, spec.parity_group)
+                        .map_err(|e| e.to_string())?;
+                Ok(Box::new(move |w: &mut dyn Write| {
+                    let out = nexsort_query::run_script(&mut pq, &script)
+                        .map_err(|e| (e.to_string(), e.error))?;
+                    w.write_all(out.as_bytes())
+                        .map_err(|e| output_phase(ExtError::Io(e).into()))?;
+                    Ok(None)
+                }) as RunStep)
+            }),
     };
-    // `None` marks a failure caused by the simulated crash.
-    let failed = |e: &XmlError, msg: String| {
-        let froze = matches!(e, XmlError::Ext(ExtError::SimulatedCrash { .. }))
-            && crash.as_ref().is_some_and(|c| c.crashed());
-        Err((!froze).then_some(msg))
+    let run = match built {
+        Ok(run) => run,
+        Err(msg) => return Outcome::Failed(msg),
     };
-    let cannot_write =
-        |e: std::io::Error| Err(Some(format!("cannot write output {output:?}: {e}")));
-    let done: Result<SortReport, Option<String>> = if spec.op == JobOp::TopK {
-        let topk = match nexsort_query::TopK::new(disk.clone(), opts, sortspec, spec.k) {
-            Ok(t) => t,
-            Err(e) => return Outcome::Failed(e.to_string()),
-        };
-        arm();
-        let result =
-            if resume { topk.resume_xml_extent(&input) } else { topk.topk_xml_extent(&input) };
-        match result {
-            Ok(doc) => match write_output_file(&output, |w| doc.write_text(w)) {
-                Ok(Ok(())) => Ok(doc.report.sort),
-                Ok(Err(e)) => failed(&e, e.to_string()),
-                Err(e) => cannot_write(e),
-            },
-            Err(e) => failed(&e, e.to_string()),
-        }
-    } else {
-        let sorter = match Nexsort::new(disk.clone(), opts, sortspec) {
-            Ok(s) => s,
-            Err(e) => return Outcome::Failed(e.to_string()),
-        };
-        arm();
-        let result = if resume {
-            sorter.try_resume_xml_extent(&input)
-        } else {
-            sorter.try_sort_xml_extent(&input)
-        };
-        match result {
-            Ok(doc) => match write_output_file(&output, |w| doc.write_xml(w, spec.pretty)) {
-                Ok(Ok(_)) => Ok(doc.report),
-                Ok(Err(e)) => failed(&e, format!("output phase: {e}")),
-                Err(e) => cannot_write(e),
-            },
-            Err(f) => failed(&f.error, f.to_string()),
-        }
-    };
+    if !resume {
+        // What a restart needs to go on (`m` says running already): the
+        // extent to reattach, or that the pq script had its crash hook.
+        let _ = m.store(dir);
+    }
+    if let (Some(ctl), Some(after)) = (&crash, m.spec.crash_after_ios) {
+        ctl.arm_after(ctl.ios() + after);
+    }
+    // The op runs inside the output file's write: a stopped op leaves no
+    // output behind.
+    let done = write_output_file(output, |w| run(w))
+        .unwrap_or_else(|e| Err((format!("cannot write output {output:?}: {e}"), None)));
     match done {
         Ok(mut report) => {
-            // Flush write-back pages so the on-disk image is consistent
-            // once the job is marked done.
+            // Flush write-back pages so the device image is consistent
+            // until the done manifest is durable.
             let _ = disk.cache_flush_all();
-            manifest(JobState::Done, &staged, None, resume);
-            report.resumed = report.resumed || resume;
-            Outcome::Done(Some(Box::new(report)))
+            if let Some(report) = &mut report {
+                report.resumed |= resume;
+            }
+            Outcome::Done(report.map(Box::new))
         }
-        Err(None) => {
-            // The device froze mid-sort or mid-output: the job's durable
-            // state (journal, staged input, manifest) is exactly what a
-            // kill -9 leaves behind, so the next Server::open resumes it
-            // from the last sealed phase and redoes the output.
-            manifest(JobState::Interrupted, &staged, None, resume);
+        // The device froze mid-op or mid-output: the job's durable state
+        // (journal, staged input, manifest) is exactly what a kill -9
+        // leaves behind, so the next Server::open resumes it from the last
+        // sealed phase (or redoes the pq script) and redoes the output.
+        Err((_, Some(XmlError::Ext(ExtError::SimulatedCrash { .. }))))
+            if crash.as_ref().is_some_and(|c| c.crashed()) =>
+        {
             Outcome::Interrupted
         }
-        Err(Some(msg)) => Outcome::Failed(msg),
+        Err((msg, _)) => Outcome::Failed(msg),
     }
 }
 
-/// Run a pq job: execute its `push KEY` / `pop` / `peek` script over an
-/// [`ExtPq`](nexsort_query::ExtPq) on the job's device, recording one
-/// output line per pop/peek. The script is deterministic, so this same
-/// function is also the resume path -- an interrupted job redoes the
-/// script from the input copy and lands on identical output.
-fn execute_pq(
-    shared: &Arc<Shared>,
-    id: u64,
-    spec: &JobSpec,
-    redo: bool,
-    job_dir: &std::path::Path,
-    manifest: &ManifestWriter<'_>,
-) -> Outcome {
-    let device_path = job_dir.join("device.bin");
-    let mut builder = DiskBuilder::new(spec.block_size).file(&device_path);
-    if !redo && spec.crash_after_ios.is_some() {
-        // The crash hook models the daemon death; a post-restart redo runs
-        // the script to completion on a clean device.
-        builder = builder.crash(CrashPlan::Disarmed);
+/// A sort or top-k job's input on its device: the extent a restart
+/// adopted, or the input copy staged now and recorded in `staged`.
+fn staged_input(
+    disk: &Rc<Disk>,
+    staged: &mut Option<(Vec<u64>, u64)>,
+    dir: &Path,
+) -> Result<Extent, String> {
+    if let Some((blocks, len)) = staged {
+        return Ok(Extent::from_raw(blocks.clone(), *len));
     }
-    let DiskStack { disk, crash, .. } = match builder.build() {
-        Ok(stack) => stack,
-        Err(e) => return Outcome::Failed(e.to_string()),
-    };
-    let script = match std::fs::read_to_string(job_dir.join("input.xml")) {
-        Ok(s) => s,
-        Err(e) => return Outcome::Failed(format!("cannot read pq script copy: {e}")),
-    };
-    let mut pq = match nexsort_query::ExtPq::new(disk.clone(), spec.mem_frames, spec.parity_group) {
-        Ok(q) => q,
-        Err(e) => return Outcome::Failed(e.to_string()),
-    };
-    if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
-        ctl.arm_after(ctl.ios() + after);
-    }
-    let out = match nexsort_query::run_script(&mut pq, &script) {
-        Ok(out) => out,
-        Err(ScriptError {
-            error: Some(XmlError::Ext(ExtError::SimulatedCrash { .. })), ..
-        }) if crash.as_ref().is_some_and(|c| c.crashed()) => {
-            // The device froze mid-script; the next Server::open re-queues
-            // the job, which redoes the script from scratch.
-            manifest(JobState::Interrupted, &None, None, false);
-            return Outcome::Interrupted;
-        }
-        Err(e) => return Outcome::Failed(e.to_string()),
-    };
-    let output = resolve_output(&shared.cfg, id, spec);
-    if let Err(e) = write_output_file(&output, |w| w.write_all(out.as_bytes())).and_then(|r| r) {
-        return Outcome::Failed(format!("cannot write output {output:?}: {e}"));
-    }
-    let _ = disk.cache_flush_all();
-    manifest(JobState::Done, &None, None, false);
-    Outcome::Done(None)
+    let file = std::fs::File::open(dir.join("input.xml"))
+        .map_err(|e| format!("cannot read input copy: {e}"))?;
+    let ext = stage_reader(disk, file).map_err(|e| format!("staging: {e}"))?;
+    *staged = Some((ext.blocks().to_vec(), ext.len()));
+    Ok(ext)
 }
 
 #[cfg(test)]
@@ -1153,6 +1070,18 @@ mod tests {
         }
         doc.push_str("</catalog>");
         doc.into_bytes()
+    }
+
+    /// A done job's whole output, read back chunk by chunk.
+    fn fetch(server: &Server, id: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let (chunk, _, eof) = server.fetch_output_chunk(id, out.len() as u64, 1 << 16).unwrap();
+            out.extend(chunk);
+            if eof {
+                return out;
+            }
+        }
     }
 
     /// What a one-shot in-memory sort of the same spec produces.
@@ -1205,14 +1134,27 @@ mod tests {
         let id = server.submit(spec).unwrap();
         let st = server.wait(id, Duration::from_secs(30)).unwrap();
         assert_eq!(st.state, JobState::Done, "error: {:?}", st.error);
-        assert_eq!(server.fetch_output(id).unwrap(), expected);
+        assert_eq!(fetch(&server, id), expected);
         let report = st.report.expect("done job carries a report");
         assert!(report.n_records >= 40, "report covers the whole document");
         assert!(st.latency.is_some());
         // The manifest on disk agrees.
-        let m = Manifest::load(&dir.join(format!("job-{id}"))).unwrap().unwrap();
+        let job_dir = dir.join(format!("job-{id}"));
+        let m = Manifest::load(&job_dir).unwrap().unwrap();
         assert_eq!(m.state, JobState::Done);
         assert!(m.staged.is_some());
+        server.shutdown();
+        // A done job leaves only its manifest and its output.
+        let mut left: Vec<String> = std::fs::read_dir(&job_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["job.json", "out.xml"]);
+        // That is all a restart needs to answer for it.
+        let server = Server::open(ServerConfig::new(1, &dir)).unwrap();
+        assert_eq!(server.status(id).unwrap().state, JobState::Done);
+        assert_eq!(fetch(&server, id), expected);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1251,7 +1193,6 @@ mod tests {
             server.fetch_output_chunk(oldest, 0, 1 << 20).unwrap(),
             (expected.clone(), expected.len() as u64, true)
         );
-        assert_eq!(server.fetch_output(oldest).unwrap(), expected);
         // The newest is still in memory, report and all.
         assert!(server.status(ids[jobs - 1]).unwrap().report.is_some());
         assert!(server.status(jobs as u64).is_none(), "ids past the last job are unknown");

@@ -5,8 +5,8 @@
 //! connection, a torn frame, a corrupted byte, or a stalled response, at
 //! *any* exchange of the protocol conversation, on either side of the
 //! socket. The sweep below drives the same workload (submit -> wait ->
-//! fetch -> stats -> shutdown) once per (fault kind, exchange index) pair
-//! and asserts, for every run:
+//! fetch_chunk -> stats -> shutdown) once per (fault kind, exchange index)
+//! pair and asserts, for every run:
 //!
 //! - the job completes exactly once (`submitted == 1`, `done == 1`; a
 //!   retried submit that lost only its ACK adopts the existing job via the
@@ -118,6 +118,26 @@ fn job_dirs(dir: &Path) -> usize {
         .count()
 }
 
+/// Job `id`'s output over `fetch_chunk`, each chunk through the retrying
+/// client. The chaos documents fit one 64 KiB chunk: one exchange.
+fn fetch_chunked(sock: &str, id: u64, copts: &ClientOptions) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let req = obj(vec![
+            ("op", s("fetch_chunk")),
+            ("id", n(id)),
+            ("offset", n(out.len() as u64)),
+            ("len", n(1u64 << 16)),
+        ]);
+        let resp = request_with_retry(sock, &req, copts).unwrap();
+        assert!(ok_of(&resp), "fetch_chunk: {}", resp.to_json());
+        out.extend_from_slice(resp.get("chunk").and_then(Value::as_str).unwrap().as_bytes());
+        if resp.get("eof").and_then(Value::as_bool) == Some(true) {
+            return out;
+        }
+    }
+}
+
 /// The startup ping `connect_with_retry` sends consumes the daemon's first
 /// exchange; conversation indices below are relative to the exchange after
 /// it. (Sweep plans must never fault exchange 0, or startup itself would
@@ -149,10 +169,7 @@ fn run_workload(dir: &Path, plan: Option<NetFaultPlan>, seed: u64) -> (Vec<u8>, 
     );
 
     // Exchange 2: fetch the sorted bytes.
-    let req = obj(vec![("op", s("fetch")), ("id", n(id))]);
-    let resp = request_with_retry(&sock, &req, &copts).unwrap();
-    assert!(ok_of(&resp), "fetch: {}", resp.to_json());
-    let output = resp.get("output").and_then(Value::as_str).unwrap().as_bytes().to_vec();
+    let output = fetch_chunked(&sock, id, &copts);
 
     // Exchange 3: stats (a faulted stats reply is retried, so the snapshot
     // the client keeps always post-dates the injected fault).
@@ -171,10 +188,10 @@ fn run_workload(dir: &Path, plan: Option<NetFaultPlan>, seed: u64) -> (Vec<u8>, 
 
 #[test]
 fn server_side_fault_sweep_keeps_jobs_exactly_once_and_byte_identical() {
-    // The clean conversation has five exchanges (submit, wait, fetch,
-    // stats, shutdown). Sweep every fault kind over indices 0..6: index 5
-    // exists only when a retry added exchanges, which doubles as the
-    // "fault scheduled past the conversation" control run.
+    // The clean conversation has five exchanges (submit, wait, one
+    // fetch_chunk, stats, shutdown). Sweep every fault kind over indices
+    // 0..6: index 5 exists only when a retry added exchanges, which
+    // doubles as the "fault scheduled past the conversation" control run.
     let want = one_shot(&chaos_spec(1000));
     for (k, kind) in KINDS.into_iter().enumerate() {
         for index in 0..6u64 {
@@ -259,13 +276,7 @@ fn client_side_request_faults_are_survived_by_the_retry_loop() {
             "{}",
             resp.to_json()
         );
-        let req = obj(vec![("op", s("fetch")), ("id", n(*id))]);
-        let resp = request_with_retry(&sock, &req, &copts).unwrap();
-        assert_eq!(
-            resp.get("output").and_then(Value::as_str).map(str::as_bytes),
-            Some(want.as_slice()),
-            "job {id}: output differs"
-        );
+        assert_eq!(fetch_chunked(&sock, *id, &copts), want, "job {id}: output differs");
     }
 
     let stats = request_with_retry(&sock, &obj(vec![("op", s("stats"))]), &copts).unwrap();
@@ -312,7 +323,7 @@ fn faulted_drain_ack_still_drains_exactly_once() {
     let st = server.wait(id, std::time::Duration::from_secs(10)).unwrap();
     assert_eq!(st.state, nexsort_server::JobState::Done, "{:?}", st.error);
     assert!(!st.resumed, "the job finished before the drain; nothing to resume");
-    assert_eq!(server.fetch_output(id).unwrap(), want);
+    assert_eq!(std::fs::read(&st.output).unwrap(), want);
     assert_eq!(job_dirs(&dir), 1);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

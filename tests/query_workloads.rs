@@ -217,7 +217,7 @@ fn server_runs_topk_and_pq_jobs() {
     for (id, want) in [(topk_id, &want_listing), (pq_id, &want_transcript)] {
         let st = server.wait(id, Duration::from_secs(120)).unwrap();
         assert_eq!(st.state, JobState::Done, "job {id}: {:?}", st.error);
-        assert_eq!(String::from_utf8(server.fetch_output(id).unwrap()).unwrap(), *want);
+        assert_eq!(std::fs::read_to_string(&st.output).unwrap(), *want);
     }
     // Top-k jobs without k are rejected at submit.
     assert!(server
@@ -303,7 +303,7 @@ fn killed_daemon_resumes_topk_and_redoes_pq() {
         let st = server.status(id).unwrap();
         assert_eq!(st.state, JobState::Done, "job {id}: {:?}", st.error);
         assert_eq!(
-            String::from_utf8(server.fetch_output(id).unwrap()).unwrap(),
+            std::fs::read_to_string(&st.output).unwrap(),
             *want,
             "job {id}: post-restart output differs from the uninterrupted run"
         );

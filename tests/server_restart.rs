@@ -141,7 +141,7 @@ fn concurrent_jobs_match_one_shot_sorts() {
         let st = server.wait(*id, Duration::from_secs(120)).unwrap();
         assert_eq!(st.state, JobState::Done, "job {id}: {:?}", st.error);
         assert_eq!(
-            &server.fetch_output(*id).unwrap(),
+            &std::fs::read(&st.output).unwrap(),
             want,
             "job {id}: daemon output differs from the one-shot sort"
         );
@@ -214,7 +214,7 @@ fn killed_daemon_restarts_and_resumes_every_job() {
         assert_eq!(st.state, JobState::Done, "job {id} (crash at {at}): {:?}", st.error);
         assert!(st.resumed, "job {id} must have gone through journal resume");
         assert_eq!(
-            &server.fetch_output(*id).unwrap(),
+            &std::fs::read(&st.output).unwrap(),
             want,
             "job {id} (crash at {at}): resumed output is not bit-identical"
         );
@@ -279,7 +279,7 @@ fn restart_also_reruns_jobs_that_never_started() {
     let st = server.wait(id, Duration::from_secs(120)).unwrap();
     assert_eq!(st.state, JobState::Done, "{:?}", st.error);
     assert!(!st.resumed, "a never-started job re-runs fresh, not via resume");
-    assert_eq!(server.fetch_output(id).unwrap(), want);
+    assert_eq!(std::fs::read(&st.output).unwrap(), want);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -365,7 +365,7 @@ fn drained_daemon_restarts_without_redoing_committed_work() {
     let st = server.wait(crash_id, Duration::from_secs(10)).unwrap();
     assert_eq!(st.state, JobState::Done, "{:?}", st.error);
     assert!(st.resumed, "the drained-while-frozen job must resume via its journal");
-    assert_eq!(server.fetch_output(crash_id).unwrap(), crash_want);
+    assert_eq!(std::fs::read(&st.output).unwrap(), crash_want);
     let report = st.report.expect("resumed job carries a report");
     assert_eq!(
         report.degenerate_merges + report.committed_passes_skipped,
@@ -374,7 +374,7 @@ fn drained_daemon_restarts_without_redoing_committed_work() {
     );
     let st = server.wait(clean_id, Duration::from_secs(10)).unwrap();
     assert_eq!(st.state, JobState::Done, "{:?}", st.error);
-    assert_eq!(server.fetch_output(clean_id).unwrap(), clean_want);
+    assert_eq!(std::fs::read(&st.output).unwrap(), clean_want);
     // A drained server no longer admits; the refusal is the retryable-busy
     // kind so a retrying client backs off instead of erroring out.
     server.begin_drain();
